@@ -55,8 +55,8 @@ def _archive_bandwidth_classic(n_movers):
     # the pre-COTS archive server generation had GigE-class connectivity;
     # every stream relays through this one NIC
     fab = system.topology.fabric
-    fab.links["nic-tsm"].capacity = 125 * MB
-    fab.links["nic-tsm:rev"].capacity = 125 * MB
+    fab.set_link_capacity("nic-tsm", 125 * MB)
+    fab.set_link_capacity("nic-tsm:rev", 125 * MB)
     paths = huge_file_campaign(
         system.archive_fs, "/d", n_movers * 2, FILE_SIZE
     )

@@ -10,14 +10,13 @@ This is the substrate that makes the paper's bandwidth numbers emerge from
 contention rather than being hard-coded: e.g. Figure 10's ~75% utilisation
 of a 2x10GigE trunk arises from many PFTool workers sharing the trunk links.
 
-Public surface: :class:`Fabric`, :class:`Link`, :class:`Flow`,
-:func:`max_min_fair_rates` (the batch reference solver) and
-:class:`MaxMinAllocator` (its incremental equivalent driving the fabric),
-plus topology builders in :mod:`repro.netsim.topology`.
+Public surface: :class:`Fabric`, :class:`Link`, :class:`Flow` and
+:class:`MaxMinAllocator` (the incremental fair-share solver driving the
+fabric), plus topology builders in :mod:`repro.netsim.topology`.
 """
 
 from repro.netsim.fabric import Fabric, Flow, Link, TransferResult
-from repro.netsim.maxmin import MaxMinAllocator, max_min_fair_rates
+from repro.netsim.maxmin import MaxMinAllocator
 from repro.netsim.topology import ArchiveSiteTopology, build_archive_site
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "MaxMinAllocator",
     "TransferResult",
     "build_archive_site",
-    "max_min_fair_rates",
 ]

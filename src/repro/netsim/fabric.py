@@ -9,15 +9,6 @@ most one solve per simulated instant, restricted to the affected allocation
 components) before the engine projects completions or an external caller
 reads them.  In-flight flows have their accrued bytes banked at the rates
 that were in force and their completion re-projected.
-
-With numpy available, per-flow residuals and bank timestamps live in flat
-arrays indexed by the allocator's flow *slots* (see
-:class:`~repro.netsim.maxmin.MaxMinAllocator`), and the per-event O(flows)
-sweeps — banking, completion projection, sub-resolution drain, retirement
-scan — run as whole-array operations.  Slot order equals flow registration
-order, and every float fold is written as a strict left-to-right
-accumulation (``cumsum``), so the vector sweeps produce bit-identical
-trajectories to the scalar per-flow loops used when numpy is absent.
 """
 
 from __future__ import annotations
@@ -27,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from repro.netsim.maxmin import MaxMinAllocator, _np
+from repro.netsim.maxmin import MaxMinAllocator
 from repro.sim import Environment, Event
 
 __all__ = ["Fabric", "Flow", "Link", "TransferResult"]
@@ -36,20 +27,15 @@ __all__ = ["Fabric", "Flow", "Link", "TransferResult"]
 #: guards against float livelock where now + remaining/rate == now
 EPS_BYTES = 1e-6
 
-#: below this many live flows the per-flow loop beats numpy call overhead;
-#: both paths are bit-identical so the per-call switch is invisible
-_VEC_MIN_FLOWS = 24
-
-#: live-flow population at which a fabric promotes itself (one-way) from
-#: the scalar reference engine to the vectorised flow table; small
-#: fabrics never pay array overhead, large ones amortise it
-_VEC_PROMOTE = 128
-
 
 class Link:
-    """A directed capacitated edge between two fabric nodes."""
+    """A directed capacitated edge between two fabric nodes.
 
-    __slots__ = ("name", "src", "dst", "capacity", "latency")
+    ``capacity`` is read-only: the fabric's allocator caches it, so a
+    runtime change must go through :meth:`Fabric.set_link_capacity`.
+    """
+
+    __slots__ = ("name", "src", "dst", "_capacity", "latency")
 
     def __init__(
         self, name: str, src: str, dst: str, capacity: float, latency: float = 0.0
@@ -61,10 +47,14 @@ class Link:
         self.name = name
         self.src = src
         self.dst = dst
-        #: bytes per second
-        self.capacity = float(capacity)
+        self._capacity = float(capacity)
         #: one-way propagation delay in seconds
         self.latency = float(latency)
+
+    @property
+    def capacity(self) -> float:
+        """Bytes per second."""
+        return self._capacity
 
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.src}->{self.dst} {self.capacity/1e6:.0f} MB/s>"
@@ -95,9 +85,8 @@ class TransferResult:
 class Flow:
     """An active fluid flow across a route of links.
 
-    ``remaining`` and ``rate`` are read-only views: while the flow is
-    table-backed (numpy mode) they read the shared per-slot arrays; after
-    retirement — or always, in scalar mode — they read plain attributes.
+    ``remaining`` and ``rate`` are read-only views; only the fabric's
+    engine updates them.
     """
 
     __slots__ = (
@@ -111,8 +100,6 @@ class Flow:
         "start",
         "tag",
         "done",
-        "slot",
-        "_tab",
         "_remaining",
         "_rate",
         "_last_update",
@@ -141,9 +128,6 @@ class Flow:
         self.start = start
         self.tag = tag
         self.done = done
-        #: index into the shared flow table (numpy mode), -1 otherwise
-        self.slot = -1
-        self._tab: Optional[_FlowTable] = None
         self._remaining = float(nbytes)
         self._rate = 0.0
         self._last_update = start
@@ -151,68 +135,18 @@ class Flow:
     @property
     def remaining(self) -> float:
         """Residual bytes (as of the last bank point)."""
-        tab = self._tab
-        if tab is None:
-            return self._remaining
-        return float(tab.rem[self.slot])
+        return self._remaining
 
     @property
     def rate(self) -> float:
         """Currently allocated fair-share rate in bytes/s."""
-        tab = self._tab
-        if tab is None:
-            return self._rate
-        return float(tab.alloc._vrates[self.slot])
+        return self._rate
 
     def __repr__(self) -> str:
         return (
             f"<Flow #{self.fid} {self.src}->{self.dst} "
             f"{self.remaining:.0f}/{self.nbytes:.0f}B @{self.rate/1e6:.1f}MB/s>"
         )
-
-
-class _FlowTable:
-    """Per-slot residual/bank-timestamp arrays shared with the allocator.
-
-    Slot numbering belongs to the :class:`MaxMinAllocator`; the table's
-    arrays grow independently and are renumbered through the allocator's
-    ``on_compact`` callback so both sides stay in lockstep.
-    """
-
-    __slots__ = ("alloc", "rem", "lu", "slot_flow")
-
-    def __init__(self, alloc: MaxMinAllocator) -> None:
-        self.alloc = alloc
-        self.rem = _np.zeros(64)
-        self.lu = _np.zeros(64)
-        #: slot -> Flow (stale entries on dead slots are never read)
-        self.slot_flow: list[Optional[Flow]] = []
-
-    def ensure(self, slot: int) -> None:
-        if slot >= len(self.rem):
-            cap = len(self.rem)
-            new_cap = max(slot + 1, 2 * cap)
-            for name in ("rem", "lu"):
-                grown = _np.zeros(new_cap)
-                grown[:cap] = getattr(self, name)
-                setattr(self, name, grown)
-        sf = self.slot_flow
-        while len(sf) <= slot:
-            sf.append(None)
-
-    def on_compact(self, keep) -> None:
-        """Renumber after the allocator dropped dead slots (order kept)."""
-        k = len(keep)
-        cap = max(64, 2 * k)
-        rem = _np.zeros(cap)
-        lu = _np.zeros(cap)
-        rem[:k] = self.rem[keep]
-        lu[:k] = self.lu[keep]
-        self.rem, self.lu = rem, lu
-        old = self.slot_flow
-        self.slot_flow = [old[i] for i in keep.tolist()]
-        for ns, f in enumerate(self.slot_flow):
-            f.slot = ns
 
 
 class Fabric:
@@ -234,10 +168,6 @@ class Fabric:
       route and the next settle re-solves only the affected allocation
       components (O(component) rather than O(all flows x all links)), with
       same-instant events coalesced into a single solve.
-    * With numpy present the per-flow sweeps (banking, retirement,
-      completion projection) are vectorised over the shared flow table;
-      the scalar loops below remain the reference (and fallback)
-      implementation and produce bit-identical results.
     """
 
     def __init__(self, env: Environment, name: str = "fabric") -> None:
@@ -258,41 +188,6 @@ class Fabric:
         self._last_bank = float("-inf")
         #: flows whose ``remaining`` hit zero since the last retire sweep
         self._finished = 0
-        # Every fabric starts on the scalar reference engine; once the
-        # live-flow population crosses _VEC_PROMOTE, _promote() switches
-        # (one-way) to the vectorised flow table.  Both engines are
-        # bit-identical, so the switch is invisible to results.
-        self._vec = False
-        self._tab: Optional[_FlowTable] = None
-
-    def _promote(self) -> None:
-        """Adopt the vectorised engine mid-run (one-way, value-preserving).
-
-        The allocator rebuilds its incidence arrays from the dict state
-        (slots in registration order — exactly what incremental adds
-        would have produced), the flow table is seeded from each flow's
-        banked residual/timestamp, and the hot methods are rebound so
-        dispatch is settled once, not branched per event.
-        """
-        self._vec = True
-        alloc = self._alloc
-        alloc.promote()
-        tab = self._tab = _FlowTable(alloc)
-        alloc.on_compact = tab.on_compact
-        if alloc.nslots:
-            tab.ensure(alloc.nslots - 1)
-        for f in self._flows.values():
-            s = alloc.slot_of(f.fid)
-            tab.rem[s] = f._remaining
-            tab.lu[s] = f._last_update
-            tab.slot_flow[s] = f
-            f.slot = s
-            f._tab = tab
-        self._bank_progress = self._bank_progress_vec
-        self._retire_finished = self._retire_finished_vec
-        self._flush_rates = self._flush_rates_vec
-        self._next_completion = self._next_completion_vec
-        self._drain_subresolution = self._drain_subresolution_vec
 
     @property
     def rate_recomputes(self) -> int:
@@ -350,7 +245,7 @@ class Fabric:
             link = self.links[name]
         except KeyError:
             raise KeyError(f"no link named {name!r}") from None
-        link.capacity = float(capacity)
+        link._capacity = float(capacity)
         self._alloc.set_capacity(name, capacity)
         self._reallocate()
 
@@ -485,32 +380,12 @@ class Fabric:
                 weight=flow.weight,
                 rate_cap=flow.rate_cap,
             )
-            if self._vec:
-                # Adopt the allocator's slot for the shared flow table;
-                # rates (including the short-circuit one) already live in
-                # the allocator's rate array.
-                tab = self._tab
-                slot = self._alloc.slot_of(flow.fid)
-                tab.ensure(slot)
-                tab.rem[slot] = flow.nbytes
-                tab.lu[slot] = now
-                tab.slot_flow[slot] = flow
-                flow.slot = slot
-                flow._tab = tab
-                if flow.nbytes <= EPS_BYTES:
-                    self._finished += 1
-            else:
-                if rate is not None:
-                    # Short-circuit: this flow shares no link, its rate is
-                    # settled and nobody else's allocation moved.
-                    flow._rate = rate
-                if flow._remaining <= EPS_BYTES:
-                    self._finished += 1
-                if (
-                    len(self._flows) >= _VEC_PROMOTE
-                    and self._alloc.vec_auto
-                ):
-                    self._promote()
+            if rate is not None:
+                # Short-circuit: this flow shares no link, its rate is
+                # settled and nobody else's allocation moved.
+                flow._rate = rate
+            if flow._remaining <= EPS_BYTES:
+                self._finished += 1
             self._reallocate()
 
         # Completion is driven by the engine process; registration needs no
@@ -520,7 +395,7 @@ class Fabric:
         return done
 
     # ------------------------------------------------------------------
-    # engine — scalar reference implementations
+    # engine
     # ------------------------------------------------------------------
     def _bank_progress(self) -> None:
         """Accrue bytes sent at current rates since the last update.
@@ -615,170 +490,6 @@ class Fabric:
                 self.bytes_delivered += f._remaining
                 f._remaining = 0.0
                 self._finished += 1
-        self._retire_finished()
-
-    # ------------------------------------------------------------------
-    # engine — vectorised implementations (bit-identical to the scalar
-    # reference: slot order == registration order == dict order, and all
-    # byte folds are strict left-to-right cumsums)
-    # ------------------------------------------------------------------
-    def _bank_progress_vec(self) -> None:
-        now = self.env.now
-        if now == self._last_bank:
-            return
-        self._last_bank = now
-        nlive = len(self._flows)
-        if nlive == 0:
-            return
-        alloc = self._alloc
-        tab = self._tab
-        if nlive < _VEC_MIN_FLOWS:
-            # few flows: walk them (through the table) instead of paying
-            # numpy call overhead on whole arrays
-            trem = tab.rem
-            tlu = tab.lu
-            vr = alloc._vrates
-            inf = float("inf")
-            delivered = 0.0
-            finished = 0
-            for flow in self._flows.values():
-                s = flow.slot
-                rate = float(vr[s])
-                dt = now - float(tlu[s])
-                if rate == inf:
-                    delivered += float(trem[s])
-                    trem[s] = 0.0
-                    finished += 1
-                elif dt > 0 and rate > 0:
-                    rem_s = float(trem[s])
-                    moved = min(rem_s, rate * dt)
-                    rem_s -= moved
-                    delivered += moved
-                    if rem_s <= EPS_BYTES:
-                        delivered += rem_s
-                        rem_s = 0.0
-                        finished += 1
-                    trem[s] = rem_s
-                tlu[s] = now
-            self.bytes_delivered += delivered
-            self._finished += finished
-            return
-        np = _np
-        n = alloc.nslots
-        alive = alloc._valive[:n]
-        rate = alloc._vrates[:n]
-        rem = tab.rem[:n]
-        lu = tab.lu[:n]
-        dt = now - lu
-        inf_m = alive & np.isinf(rate)
-        mov_m = alive & ~inf_m & (dt > 0.0) & (rate > 0.0)
-        rr = np.where(inf_m, 0.0, rate)
-        moved = np.where(mov_m, np.minimum(rem, rr * dt), 0.0)
-        after = rem - moved
-        fin_m = mov_m & (after <= EPS_BYTES)
-        # Interleave (moved, residual) pairs so the cumsum reproduces the
-        # scalar loop's exact two-adds-per-flow accumulation order.
-        pairs = np.empty(2 * n)
-        pairs[0::2] = np.where(inf_m, rem, moved)
-        pairs[1::2] = np.where(fin_m, after, 0.0)
-        delivered = float(np.cumsum(pairs)[-1])
-        rem[:] = np.where(inf_m | fin_m, 0.0, after)
-        lu[alive] = now
-        self.bytes_delivered += delivered
-        self._finished += int(np.count_nonzero(inf_m) + np.count_nonzero(fin_m))
-
-    def _retire_finished_vec(self) -> None:
-        if not self._finished:
-            return
-        self._finished = 0
-        alloc = self._alloc
-        tab = self._tab
-        flows = self._flows
-        if len(flows) < _VEC_MIN_FLOWS:
-            trem = tab.rem
-            done = [f for f in flows.values() if trem[f.slot] <= EPS_BYTES]
-        else:
-            np = _np
-            n = alloc.nslots
-            sel = np.nonzero(alloc._valive[:n] & (tab.rem[:n] <= EPS_BYTES))[0]
-            slot_flow = tab.slot_flow
-            # ascending slot == registration == dict order
-            done = [slot_flow[s] for s in sel.tolist()]
-        vr = alloc._vrates
-        for f in done:
-            # materialise the table-backed views before the slot dies
-            f._rate = float(vr[f.slot])
-            f._remaining = 0.0
-            f._tab = None
-            del flows[f.fid]
-            alloc.remove_flow(f.fid)
-            f.done.succeed(
-                TransferResult(f.src, f.dst, int(f.nbytes), f.start, self.env.now, f.tag)
-            )
-
-    def _flush_rates_vec(self) -> None:
-        # Rates live in the allocator's slot array, which the Flow.rate
-        # property reads directly — no per-flow write-back dict needed.
-        if self._alloc.dirty:
-            self._alloc.flush(collect=False)
-
-    def _next_completion_vec(self) -> float:
-        self._flush_rates_vec()
-        alloc = self._alloc
-        nlive = len(self._flows)
-        if nlive < _VEC_MIN_FLOWS:
-            trem = self._tab.rem
-            vr = alloc._vrates
-            t = float("inf")
-            for f in self._flows.values():
-                s = f.slot
-                rate = float(vr[s])
-                if rate > 0:
-                    dt = float(trem[s]) / rate
-                    if dt < t:
-                        t = dt
-            return t
-        np = _np
-        n = alloc.nslots
-        m = alloc._valive[:n] & (alloc._vrates[:n] > 0.0)
-        if not m.any():
-            return float("inf")
-        dts = self._tab.rem[:n][m] / alloc._vrates[:n][m]
-        return float(dts.min())
-
-    def _drain_subresolution_vec(self, dt: float) -> None:
-        alloc = self._alloc
-        tab = self._tab
-        if len(self._flows) < _VEC_MIN_FLOWS:
-            trem = tab.rem
-            vr = alloc._vrates
-            thresh = dt * (1 + 1e-9)
-            for f in self._flows.values():
-                s = f.slot
-                rate = float(vr[s])
-                if rate > 0 and float(trem[s]) / rate <= thresh:
-                    self.bytes_delivered += float(trem[s])
-                    trem[s] = 0.0
-                    self._finished += 1
-            self._retire_finished()
-            return
-        np = _np
-        n = alloc.nslots
-        rem = tab.rem[:n]
-        rate = alloc._vrates[:n]
-        m = alloc._valive[:n] & (rate > 0.0)
-        dts = np.full(n, float("inf"))
-        np.divide(rem, rate, out=dts, where=m)
-        sel = m & (dts <= dt * (1 + 1e-9))
-        vals = rem[sel]
-        if len(vals):
-            # fold starts from the current total: the scalar loop adds each
-            # residual straight onto bytes_delivered
-            self.bytes_delivered = float(
-                np.cumsum(np.concatenate(([self.bytes_delivered], vals)))[-1]
-            )
-            rem[sel] = 0.0
-            self._finished += int(np.count_nonzero(sel))
         self._retire_finished()
 
     def _engine(self) -> Iterable[Event]:

@@ -12,10 +12,6 @@ runner measures, per scenario:
 * ``instants`` / ``max_instant_batch`` — same-instant dispatch cohorts
   and the largest one (``events / instants`` is the mean batch size the
   cohort drain amortises generator-resume overhead over),
-* ``queue`` — calendar-queue occupancy counters (``wheel_pushes``,
-  ``overflow_pushes``, ``rebases``, ``migrations``; all zero while the
-  queue stays in flat-heap mode, which every current scenario does —
-  they characterise the wheel once traces grow past ``_WHEEL_ENTER``),
 * ``rate_recomputes`` — fair-share solver invocations on all fabrics,
 * ``headline`` — *simulated* outputs (bytes moved, job durations, end
   times).  These are machine-independent and guarded by
@@ -94,7 +90,6 @@ def run_scenario(name: str) -> dict:
     wall = time.perf_counter() - t0  # noqa: RA001 - benchmark harness measures wall clock
     env = out.env
     events = env.events_processed
-    q = env._queue
     return {
         "wall_s": round(wall, 4),
         "events": events,
@@ -102,12 +97,6 @@ def run_scenario(name: str) -> dict:
         "peak_queue_len": env.peak_queue_len,
         "instants": env.instants,
         "max_instant_batch": env.max_instant_batch,
-        "queue": {
-            "wheel_pushes": q.wheel_pushes,
-            "overflow_pushes": q.overflow_pushes,
-            "rebases": q.rebases,
-            "migrations": q.migrations,
-        },
         "rate_recomputes": int(sum(f.rate_recomputes for f in out.fabrics)),
         "headline": out.headline,
         **({"extra": out.extras} if out.extras else {}),

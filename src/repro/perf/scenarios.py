@@ -26,9 +26,6 @@ from repro.sim import Environment, FilterStore, RandomStreams, Store
 MB = 1_000_000
 GB = 1_000_000_000
 
-#: calendar-queue counters folded across multi-environment scenarios
-_QUEUE_COUNTERS = ("wheel_pushes", "overflow_pushes", "rebases", "migrations")
-
 
 # ---------------------------------------------------------------------------
 # pure fabric scenarios
@@ -288,7 +285,6 @@ def a1_proxy() -> ScenarioOutcome:
     peak = 0
     instants_total = 0
     batch_max = 0
-    wheel_totals = [0] * len(_QUEUE_COUNTERS)
     spec = TapeSpec(
         native_rate=120e6, load_time=10.0, unload_time=10.0, rewind_full=40.0,
         seek_base=1.0, locate_rate=10e9, label_verify=5.0, backhitch=1.93,
@@ -313,17 +309,13 @@ def a1_proxy() -> ScenarioOutcome:
         peak = max(peak, env.peak_queue_len)
         instants_total += env.instants
         batch_max = max(batch_max, env.max_instant_batch)
-        for i, attr in enumerate(_QUEUE_COUNTERS):
-            wheel_totals[i] += getattr(env._queue, attr)
         fabrics.append(system.topology.fabric)
         env_last = env
-    # fold both runs' event/queue counters into the reported environment
+    # fold both runs' event counters into the reported environment
     env_last.events_processed = events_total
     env_last.peak_queue_len = peak
     env_last.instants = instants_total
     env_last.max_instant_batch = batch_max
-    for i, attr in enumerate(_QUEUE_COUNTERS):
-        setattr(env_last._queue, attr, wheel_totals[i])
     return ScenarioOutcome(env=env_last, headline=headline, fabrics=tuple(fabrics))
 
 

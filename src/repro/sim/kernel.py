@@ -3,13 +3,8 @@
 Design notes
 ------------
 * Time is a ``float`` in **seconds** everywhere in :mod:`repro`.
-* The event queue is a :class:`_CalendarQueue` — a calendar-queue/heap
-  hybrid keyed on ``(time, priority, tiebreak)``.  It boots as a flat
-  binary heap and converts to a timer wheel (day-buckets sized from the
-  observed inter-pop gap, plus a far-future overflow heap) once the
-  queue is large enough for the wheel to pay off.  Pop order is provably
-  identical to the flat heap's (see the class docstring); a hypothesis
-  property test pins the equivalence.
+* The event queue is a flat binary heap (:mod:`heapq`) of
+  ``(time, priority, tiebreak, event)`` tuples.
 * :meth:`Environment.run` drains same-instant cohorts in one pass:
   per-event semantics (HB ``on_pop`` hooks, ``events_processed``, crash
   propagation, stop-event checks) are unchanged, but loop bookkeeping is
@@ -327,226 +322,6 @@ class _ScheduledCall(Event):
         return f"<_ScheduledCall fn={self._fn!r} at {id(self):#x}>"
 
 
-#: number of day-buckets on the timer wheel
-_WHEEL_BUCKETS = 256
-#: queue length at which the flat heap converts to the wheel
-_WHEEL_ENTER = 4096
-#: wheel collapses back to the flat heap below this size
-_WHEEL_EXIT = _WHEEL_ENTER // 4
-#: bucket width as a multiple of the observed mean inter-event gap
-_WHEEL_GAP_MULT = 4.0
-
-
-class _CalendarQueue:
-    """Calendar-queue / heap hybrid preserving the exact heap total order.
-
-    Entries are full ``(time, priority, key, event)`` tuples.  The queue
-    starts as a flat binary heap — and in that mode the kernel hot paths
-    (:meth:`Environment._schedule`, :meth:`Environment.run`) operate on
-    ``_ov`` with inline C ``heapq`` calls, so small simulations pay zero
-    overhead versus a bare heap.  Once a push grows the queue past
-    ``_WHEEL_ENTER`` entries (heap ops now cost log2(n) > 12 tuple
-    comparisons each) it converts to a timer wheel of
-    ``_WHEEL_BUCKETS`` day-buckets, each a small heap, sized from the
-    queue's observed time span.  Far-future entries (beyond the wheel
-    horizon) overflow into a sorted heap and migrate onto the wheel
-    when the cursor wraps and the wheel re-bases onto their era; when
-    the queue drains below ``_WHEEL_EXIT`` it collapses back to the
-    flat heap and the inline fast path.
-
-    Ordering proof sketch: bucket classification uses the monotone map
-    ``f(t) = int((t - base) * inv_width)`` at *both* push and migration
-    time, so ``f(a) < f(b)`` implies ``a < b`` — every entry in an
-    earlier bucket (and every wheel entry vs. every overflow entry) is
-    strictly earlier in time, while entries at equal times always land
-    in the same bucket, whose heap orders them by the full
-    ``(time, priority, key)`` tuple.  Pushes below the cursor's bucket
-    (possible only for times at or before the bucket's range, e.g.
-    zero-delay events right after a re-base) clamp onto the cursor
-    bucket, which is always the next one scanned, where the in-bucket
-    heap restores their place.  Pop order is therefore exactly the flat
-    heap's total order; the property test in
-    ``tests/test_sim_calendar_queue.py`` pins this against a reference
-    heap including ties, far-future overflow and wheel wraps.
-    """
-
-    __slots__ = (
-        "_ov",
-        "_buckets",
-        "_cur",
-        "_base",
-        "_width",
-        "_inv_width",
-        "_size",
-        "_wheel",
-        "_pops",
-        "_last_rebase_t",
-        "_convert_min_size",
-        "wheel_pushes",
-        "overflow_pushes",
-        "rebases",
-        "migrations",
-    )
-
-    def __init__(self) -> None:
-        #: overflow heap; in heap mode it holds the whole queue
-        self._ov: list[tuple] = []
-        self._buckets: list[list[tuple]] = [[] for _ in range(_WHEEL_BUCKETS)]
-        self._cur = 0
-        self._base = 0.0
-        self._width = 0.0
-        self._inv_width = 0.0
-        self._size = 0
-        self._wheel = False
-        #: pops since the last re-base (width estimator for the next one)
-        self._pops = 0
-        self._last_rebase_t = 0.0
-        #: size at which the next wheel-conversion attempt triggers;
-        #: doubled after a failed attempt (zero-span queue) so a huge
-        #: same-instant spike cannot re-scan the heap on every push
-        self._convert_min_size = _WHEEL_ENTER
-        self.wheel_pushes = 0
-        self.overflow_pushes = 0
-        self.rebases = 0
-        self.migrations = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def push(self, item: tuple) -> None:
-        self._size += 1
-        if self._wheel:
-            i = int((item[0] - self._base) * self._inv_width)
-            if i < _WHEEL_BUCKETS:
-                cur = self._cur
-                if i < cur:
-                    i = cur
-                heapq.heappush(self._buckets[i], item)
-                self.wheel_pushes += 1
-                return
-            self.overflow_pushes += 1
-            heapq.heappush(self._ov, item)
-            return
-        heapq.heappush(self._ov, item)
-        if self._size >= self._convert_min_size:
-            self._try_convert()
-
-    def _try_convert(self) -> None:
-        """Convert heap -> wheel, sizing buckets from the queue's span."""
-        ov = self._ov
-        t0 = ov[0][0]
-        span = max(item[0] for item in ov) - t0
-        if span <= 0.0:
-            # Degenerate same-instant queue: a wheel cannot help; retry
-            # only after the queue doubles again.
-            self._convert_min_size = self._size * 2
-            return
-        self._enter_wheel(t0, span / self._size * _WHEEL_GAP_MULT)
-
-    def _rebase(self, base: float) -> None:
-        """Re-base the wheel onto the era starting at *base* (wheel wrap).
-
-        Width comes from the mean inter-pop gap since the last re-base;
-        with no gap data (a sparse era: the wheel wrapped without pops at
-        distinct times) the previous width is grown 8x instead.
-        """
-        pops = self._pops
-        span = base - self._last_rebase_t
-        if pops > 0 and span > 0.0:
-            width = (span / pops) * _WHEEL_GAP_MULT
-        else:
-            width = self._width * 8.0
-        self._enter_wheel(base, width)
-
-    def _enter_wheel(self, base: float, width: float) -> None:
-        """Lay the wheel over [base, base + buckets*width) and migrate
-        every overflow entry inside that horizon onto it.
-
-        When called from :meth:`_advance` on a wheel wrap, base is the
-        overflow head's time, so ``f(head) == 0`` and at least one entry
-        always migrates — the wrap loop cannot livelock.
-        """
-        self._wheel = True
-        self._base = base
-        self._width = width
-        self._inv_width = inv = 1.0 / width
-        self._cur = 0
-        self._pops = 0
-        self._last_rebase_t = base
-        self.rebases += 1
-        ov = self._ov
-        buckets = self._buckets
-        migrated = 0
-        while ov:
-            i = int((ov[0][0] - base) * inv)
-            if i >= _WHEEL_BUCKETS:
-                break
-            heapq.heappush(buckets[i], heapq.heappop(ov))
-            migrated += 1
-        self.migrations += migrated
-
-    def _collapse(self) -> None:
-        """Collapse wheel -> flat heap (queue drained below the wheel's
-        useful size); restores the kernel's inline heap fast path."""
-        ov = self._ov
-        for b in self._buckets:
-            if b:
-                ov.extend(b)
-                del b[:]
-        heapq.heapify(ov)
-        self._wheel = False
-        self._cur = 0
-        self._convert_min_size = _WHEEL_ENTER
-
-    def _advance(self) -> Optional[list[tuple]]:
-        """Move the cursor to the next non-empty bucket, re-basing on
-        wrap; returns the bucket, or None when the overflow heap is next."""
-        buckets = self._buckets
-        cur = self._cur
-        while True:
-            while cur < _WHEEL_BUCKETS:
-                b = buckets[cur]
-                if b:
-                    self._cur = cur
-                    return b
-                cur += 1
-            if not self._ov:
-                self._cur = cur
-                return None
-            # Wheel exhausted with future entries pending: re-base onto
-            # the overflow's era.  base == head time, so f(head) == 0 and
-            # at least one entry always migrates — no livelock.
-            self._rebase(self._ov[0][0])
-            cur = self._cur
-
-    def pop(self) -> tuple:
-        """Pop the globally smallest ``(time, priority, key, event)``."""
-        self._size -= 1
-        if self._wheel:
-            b = self._advance()
-            item = heapq.heappop(b if b is not None else self._ov)
-            self._pops += 1
-            if self._size < _WHEEL_EXIT:
-                self._collapse()
-            return item
-        return heapq.heappop(self._ov)
-
-    def peek_time(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty.
-
-        May advance the cursor / re-base (order is unaffected)."""
-        if self._size == 0:
-            return float("inf")
-        if self._wheel:
-            b = self._advance()
-            if b is not None:
-                return b[0][0]
-        return self._ov[0][0]
-
-
 class _ConditionValue(dict):
     """Ordered mapping of event -> value for AllOf/AnyOf results."""
 
@@ -786,8 +561,6 @@ class Environment:
         "peak_queue_len",
         "instants",
         "max_instant_batch",
-        "tombstone_compact_min",
-        "tombstone_compact_ratio",
         "trace",
         "hb",
     )
@@ -798,7 +571,7 @@ class Environment:
         schedule_policy: Optional[SchedulePolicy] = None,
     ) -> None:
         self._now = float(initial_time)
-        self._queue: _CalendarQueue = _CalendarQueue()
+        self._queue: list[tuple] = []
         self._seq = 0
         self._active: Optional[Process] = None
         self._crashed: Optional[BaseException] = None
@@ -816,11 +589,6 @@ class Environment:
         self.instants = 0
         #: largest same-instant cohort drained in one pass by :meth:`run`
         self.max_instant_batch = 0
-        #: store/resource tombstone compaction tunables: compact a wait
-        #: queue once it holds more than *min* tombstones AND tombstones
-        #: exceed *ratio* of the queue (see :mod:`repro.sim.resources`)
-        self.tombstone_compact_min = 16
-        self.tombstone_compact_ratio = 0.5
         #: trace channel — NULL_CHANNEL (enabled=False) unless a
         #: :class:`repro.trace.Tracer` is installed when this env is built
         self.trace = _trace_channel_for(self)
@@ -924,18 +692,9 @@ class Environment:
         self._seq += 1
         key = self._seq if self._policy is None else self._policy.key(self._seq)
         q = self._queue
-        if q._wheel:
-            q.push((self._now + delay, priority, key, event))
-        else:
-            # Heap mode: inline the push (C heapq on the flat list) so
-            # small simulations pay nothing for the wheel machinery.
-            heapq.heappush(q._ov, (self._now + delay, priority, key, event))
-            q._size += 1
-            if q._size >= q._convert_min_size:
-                q._try_convert()
-        n = q._size
-        if n > self.peak_queue_len:
-            self.peak_queue_len = n
+        heapq.heappush(q, (self._now + delay, priority, key, event))
+        if len(q) > self.peak_queue_len:
+            self.peak_queue_len = len(q)
 
     def _crash(self, exc: BaseException) -> None:
         if self._crashed is None:
@@ -943,13 +702,13 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.peek_time()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("no scheduled events")
-        t, _prio, _key, event = self._queue.pop()
+        t, _prio, _key, event = heapq.heappop(self._queue)
         self._now = t
         self.events_processed += 1
         if self.hb is not None:
@@ -999,95 +758,44 @@ class Environment:
         # hoisted to once per distinct timestamp.
         q = self._queue
         pool = self._call_pool
-        # prev_t/batch persist across drain passes so a mid-cohort
-        # heap->wheel conversion (which re-enters the outer loop at the
-        # same instant) neither double-counts the instant nor splits its
-        # batch size.
-        prev_t: Optional[float] = None
-        batch = 0
-        while q._size:
+        while q:
             if stop_ev is not None and stop_ev._processed:
                 break
-            t = q.peek_time() if q._wheel else q._ov[0][0]
+            t = q[0][0]
             if stop_at is not None and t > stop_at:
-                self._now = stop_at
-                if batch > self.max_instant_batch:
-                    self.max_instant_batch = batch
-                return None
+                break
             self._now = t
-            if t != prev_t:
-                if batch > self.max_instant_batch:
-                    self.max_instant_batch = batch
-                batch = 0
-                self.instants += 1
-                prev_t = t
-            if not q._wheel:
-                # Heap-mode cohort: inline C heapq pops on the flat list.
-                ov = q._ov
-                while True:
-                    _t, _prio, _key, event = heapq.heappop(ov)
-                    q._size -= 1
-                    self.events_processed += 1
-                    batch += 1
-                    if self.hb is not None:
-                        self.hb.on_pop(_t, _prio, event)
-                    if type(event) is _ScheduledCall:
-                        fn = event._fn
-                        event._fn = None
-                        if len(pool) < _CALL_POOL_MAX:
-                            pool.append(event)
-                        fn()
-                    else:
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        event._processed = True
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(event)
-                    if self._crashed is not None:
-                        exc = self._crashed
-                        self._crashed = None
-                        raise exc
-                    if stop_ev is not None and stop_ev._processed:
-                        break
-                    if q._wheel:
-                        # A push mid-cohort converted the queue to wheel
-                        # mode; re-enter through the generic path (same
-                        # instant continues there).
-                        break
-                    if not ov or ov[0][0] != t:
-                        break
-            else:
-                # Wheel-mode cohort: generic pops (bucket scan inside).
-                while True:
-                    _t, _prio, _key, event = q.pop()
-                    self.events_processed += 1
-                    batch += 1
-                    if self.hb is not None:
-                        self.hb.on_pop(_t, _prio, event)
-                    if type(event) is _ScheduledCall:
-                        fn = event._fn
-                        event._fn = None
-                        if len(pool) < _CALL_POOL_MAX:
-                            pool.append(event)
-                        fn()
-                    else:
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        event._processed = True
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(event)
-                    if self._crashed is not None:
-                        exc = self._crashed
-                        self._crashed = None
-                        raise exc
-                    if stop_ev is not None and stop_ev._processed:
-                        break
-                    if not q._size or q.peek_time() != t:
-                        break
-        if batch > self.max_instant_batch:
-            self.max_instant_batch = batch
+            self.instants += 1
+            batch = 0
+            while True:
+                _t, _prio, _key, event = heapq.heappop(q)
+                self.events_processed += 1
+                batch += 1
+                if self.hb is not None:
+                    self.hb.on_pop(_t, _prio, event)
+                if type(event) is _ScheduledCall:
+                    fn = event._fn
+                    event._fn = None
+                    if len(pool) < _CALL_POOL_MAX:
+                        pool.append(event)
+                    fn()
+                else:
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks:
+                        for cb in callbacks:
+                            cb(event)
+                if self._crashed is not None:
+                    exc = self._crashed
+                    self._crashed = None
+                    raise exc
+                if stop_ev is not None and stop_ev._processed:
+                    break
+                if not q or q[0][0] != t:
+                    break
+            if batch > self.max_instant_batch:
+                self.max_instant_batch = batch
         if stop_ev is not None:
             if not stop_ev._processed:
                 raise SimulationError("run() finished but the awaited event never fired")

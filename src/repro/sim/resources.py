@@ -38,6 +38,12 @@ __all__ = [
     "StoreGet",
 ]
 
+#: tombstone compaction thresholds: a wait queue compacts once it holds
+#: more than ``_COMPACT_MIN`` tombstones AND tombstones exceed
+#: ``_COMPACT_RATIO`` of the queue
+_COMPACT_MIN = 16
+_COMPACT_RATIO = 0.5
+
 
 class Request(Event):
     """Pending acquisition of a :class:`Resource` slot.
@@ -121,11 +127,8 @@ class Resource:
             if not request.triggered and request.callbacks is not None:
                 request.callbacks = None
                 self._nwaiting -= 1
-                env = self.env
                 dead = len(self._waiters) - self._nwaiting
-                if dead > env.tombstone_compact_min and dead > (
-                    env.tombstone_compact_ratio * len(self._waiters)
-                ):
+                if dead > _COMPACT_MIN and dead > _COMPACT_RATIO * len(self._waiters):
                     self._compact_waiters()
             return
         self._grant()
@@ -264,9 +267,8 @@ class StoreGet(Event):
         self.callbacks = None
         store = self.store
         store._cancelled += 1
-        env = store.env
-        if store._cancelled > env.tombstone_compact_min and store._cancelled > (
-            env.tombstone_compact_ratio * len(store._getq)
+        if store._cancelled > _COMPACT_MIN and store._cancelled > (
+            _COMPACT_RATIO * len(store._getq)
         ):
             store._compact_getq()
 

@@ -230,75 +230,16 @@ def test_archive_site_invalid_counts():
         build_archive_site(env, n_fta=0)
 
 
-# ---------------------------------------------------------------------------
-# scalar -> vectorised engine promotion
-# ---------------------------------------------------------------------------
-
-def _churn_workload(promote_at):
-    """Staggered multi-wave transfers whose live-flow population crosses
-    *promote_at*; returns (sorted results, bytes_delivered, solves, vec)."""
-    from repro.netsim import fabric as fabric_mod
-
-    old = fabric_mod._VEC_PROMOTE
-    fabric_mod._VEC_PROMOTE = promote_at
-    try:
-        env = Environment()
-        fab = Fabric(env)
-        fab.add_link("a", "m", capacity=100.0)
-        fab.add_link("m", "b", capacity=70.0)
-        fab.add_link("a", "b", capacity=40.0)
-        results = []
-
-        def go(i):
-            yield env.timeout(0.01 * i)
-            src, dst = ("a", "b") if i % 3 else ("a", "m")
-            res = yield fab.transfer(src, dst, 50.0 + 7.0 * (i % 5))
-            results.append((res.start, res.end, res.nbytes))
-
-        for i in range(40):
-            env.process(go(i))
-        env.run()
-        results.sort()
-        return results, fab.bytes_delivered, fab.rate_recomputes, fab._vec
-    finally:
-        fabric_mod._VEC_PROMOTE = old
-
-
-def _require_numpy():
-    from repro.netsim import maxmin as maxmin_mod
-
-    if maxmin_mod._np is None:
-        pytest.skip("numpy unavailable: the fabric never promotes")
-
-
-def test_promotion_mid_run_is_bit_identical_to_scalar():
-    """Crossing the promotion threshold mid-run must not change a single
-    result bit: the vectorised engine is value-preserving at adoption and
-    bit-identical in steady state."""
-    _require_numpy()
-    scalar = _churn_workload(promote_at=10**9)
-    promoted = _churn_workload(promote_at=12)
-    assert not scalar[3]       # never promoted
-    assert promoted[3]         # crossed the threshold mid-run
-    assert promoted[:3] == scalar[:3]
-
-
-def test_promotion_at_start_matches_scalar():
-    """Forcing the vector engine from flow #1 (threshold 1) also matches."""
-    _require_numpy()
-    scalar = _churn_workload(promote_at=10**9)
-    vec = _churn_workload(promote_at=1)
-    assert vec[3]
-    assert vec[:3] == scalar[:3]
-
-
-def test_promotion_requires_numpy():
-    """Without numpy the allocator never reports vec_auto, so the fabric
-    stays on the scalar engine regardless of population."""
-    from repro.netsim import maxmin as maxmin_mod
-
-    if maxmin_mod._np is None:
-        alloc = maxmin_mod.MaxMinAllocator()
-        assert not alloc.vec_auto
-    else:
-        assert maxmin_mod.MaxMinAllocator(vec=False).vec_auto is False
+def test_link_capacity_is_read_only_outside_the_fabric():
+    """A direct write would bypass the allocator's cached capacities, so it
+    must raise; set_link_capacity is the one way to change a link."""
+    env = Environment()
+    fab = Fabric(env)
+    fab.add_link("a", "b", capacity=100.0)
+    with pytest.raises(AttributeError):
+        fab.links["a->b"].capacity = 10.0
+    fab.set_link_capacity("a->b", 10.0)
+    assert fab.links["a->b"].capacity == 10.0
+    ev = fab.transfer("a", "b", 100.0)
+    env.run()
+    assert ev.value.duration == pytest.approx(10.0)

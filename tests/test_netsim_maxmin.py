@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import MaxMinAllocator, max_min_fair_rates
+from repro.netsim import MaxMinAllocator
+from tests.maxmin_oracle import max_min_fair_rates
 
 
 def test_single_flow_gets_link_capacity():

@@ -8,6 +8,7 @@ from repro.sim import (
     Environment,
     Interrupt,
     SimulationError,
+    Store,
 )
 
 
@@ -363,3 +364,58 @@ def test_daemon_flag_marks_service_processes():
     assert worker.daemon is False
     assert service.daemon is True
     env.run()
+
+
+def test_run_cohort_drain_matches_step_loop():
+    """run() drains each same-instant cohort in one pass; a workload with
+    timers, store traffic and cancelled gets must end exactly as it does
+    when every event is popped one at a time through step()."""
+
+    def workload(drive):
+        env = Environment()
+        store = Store(env, capacity=64)
+        log = []
+
+        def producer():
+            for i in range(120):
+                yield env.timeout(0.25 if i % 3 else 0.0)
+                yield store.put(i)
+
+        def consumer(cid):
+            for _ in range(40):
+                item = yield store.get()
+                log.append((env.now, cid, item))
+
+        def canceller():
+            # race a get against a timer and withdraw the loser: the
+            # cancelled get stays tombstoned in the queue until popped
+            for _ in range(10):
+                get = store.get()
+                yield env.timeout(1e-3) | get
+                if not get.processed:
+                    get.cancel()
+                else:
+                    log.append((env.now, "c", get.value))
+                yield env.timeout(0.5)
+
+        for cid in range(3):
+            env.process(consumer(cid))
+        env.process(producer())
+        env.process(canceller())
+        drive(env)
+        return env, log
+
+    instants = set()
+
+    def stepwise(env):
+        while env.peek() != float("inf"):
+            instants.add(env.peek())
+            env.step()
+
+    ran, ran_log = workload(lambda env: env.run())
+    stepped, stepped_log = workload(stepwise)
+    assert ran_log == stepped_log
+    assert (ran.events_processed, ran.now) == (stepped.events_processed, stepped.now)
+    # one cohort per distinct timestamp, some of them several events deep
+    assert ran.instants == len(instants)
+    assert 1 < ran.max_instant_batch < ran.events_processed

@@ -4,19 +4,22 @@ Every bench:
 
 * builds the paper-scale site (or a stated reduction, documented in
   EXPERIMENTS.md),
-* runs the simulation once inside ``benchmark.pedantic`` (wall-clock of
-  the simulation run is what pytest-benchmark reports),
-* prints a paper-vs-measured comparison table and appends it to
+* runs the simulation once,
+* prints a paper-vs-measured comparison table and writes it to
   ``benchmarks/results/<exp>.txt`` so EXPERIMENTS.md has durable
-  artifacts,
-* stores headline numbers in ``benchmark.extra_info``.
+  artifacts.  Reports hold simulated values only, so rerunning the
+  benches leaves them unchanged.
+
+Host time is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 from repro.archive import ArchiveParams, ParallelArchiveSystem
+from repro.perf import compare_report
 from repro.pftool import PftoolConfig
 from repro.sim import Environment
 from repro.tapesim import TapeSpec
@@ -26,6 +29,7 @@ GB = 1_000_000_000
 TB = 1_000_000_000_000
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+GOLDEN = RESULTS_DIR / "BENCH_kernel.json"
 
 
 def paper_site(env: Environment, **over) -> ParallelArchiveSystem:
@@ -67,12 +71,8 @@ def write_report(exp_id: str, text: str) -> pathlib.Path:
     return path
 
 
-def run_once(benchmark, fn):
-    """Run *fn* exactly once under pytest-benchmark and return its value."""
-    box = {}
-
-    def _call():
-        box["result"] = fn()
-
-    benchmark.pedantic(_call, rounds=1, iterations=1)
-    return box["result"]
+def check_golden(report: dict, names=None) -> None:
+    """Assert *report* matches ``BENCH_kernel.json`` on *names* (None = all)."""
+    golden = json.loads(GOLDEN.read_text())
+    drift = compare_report(report, golden, names)
+    assert not drift, "drift vs BENCH_kernel.json:\n" + "\n".join(drift)

@@ -15,7 +15,7 @@ from repro.pftool import PftoolConfig
 from repro.sim import Environment
 from repro.workloads import huge_file_campaign
 
-from _common import GB, run_once, small_tape_spec, write_report
+from _common import GB, small_tape_spec, write_report
 
 FILE_SIZE = 24 * GB
 WORKER_COUNTS = (1, 2, 4, 8, 16)
@@ -43,8 +43,8 @@ def _run():
     return {w: _copy_duration(w) for w in WORKER_COUNTS}
 
 
-def test_a1_single_file_parallel_copy(benchmark):
-    durations = run_once(benchmark, _run)
+def test_a1_single_file_parallel_copy():
+    durations = _run()
     base = durations[1]
     speedups = {w: base / durations[w] for w in WORKER_COUNTS}
 
@@ -60,7 +60,6 @@ def test_a1_single_file_parallel_copy(benchmark):
     report = f"A1  N-to-1 single large file copy (24 GB)\n{lines}\n\n{table}"
     print("\n" + report)
     write_report("A1", report)
-    benchmark.extra_info["speedup_16"] = speedups[16]
 
     # monotone improvement, substantial parallel win, eventual saturation
     assert durations[2] < durations[1]

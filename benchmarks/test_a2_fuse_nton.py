@@ -17,7 +17,7 @@ from repro.pftool import PftoolConfig
 from repro.sim import Environment
 from repro.workloads import huge_file_campaign
 
-from _common import GB, run_once, small_tape_spec, write_report
+from _common import GB, small_tape_spec, write_report
 
 FILE_SIZE = 120 * GB
 WORKERS = 10
@@ -49,8 +49,8 @@ def _run():
     return _copy(False), _copy(True)
 
 
-def test_a2_fuse_nton_vs_nto1(benchmark):
-    t_nto1, t_nton = run_once(benchmark, _run)
+def test_a2_fuse_nton_vs_nto1():
+    t_nto1, t_nton = _run()
     rate1 = FILE_SIZE / t_nto1 / 1e6
     rateN = FILE_SIZE / t_nton / 1e6
 
@@ -68,8 +68,6 @@ def test_a2_fuse_nton_vs_nto1(benchmark):
     )
     print("\n" + report)
     write_report("A2", report)
-    benchmark.extra_info["nto1_mbps"] = rate1
-    benchmark.extra_info["nton_mbps"] = rateN
 
     # the conversion wins, bounded by hardware not the shared-file lock
     assert t_nton < t_nto1

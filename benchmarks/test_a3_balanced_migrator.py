@@ -22,7 +22,7 @@ from repro.pfs import ListRule
 from repro.sim import Environment, RandomStreams
 from repro.workloads.generators import _instant_create
 
-from _common import GB, MB, run_once, small_tape_spec, write_report
+from _common import GB, MB, small_tape_spec, write_report
 
 N_FILES = 48
 
@@ -66,8 +66,8 @@ def _run():
     return {m: _run_mode(m) for m in ("balanced", "native", "single")}
 
 
-def test_a3_balanced_vs_native_migration(benchmark):
-    reports = run_once(benchmark, _run)
+def test_a3_balanced_vs_native_migration():
+    reports = _run()
     bal, nat, single = reports["balanced"], reports["native"], reports["single"]
 
     rows = [
@@ -88,8 +88,6 @@ def test_a3_balanced_vs_native_migration(benchmark):
     )
     print("\n" + report)
     write_report("A3", report)
-    benchmark.extra_info["balanced_s"] = bal.duration
-    benchmark.extra_info["native_s"] = nat.duration
 
     assert bal.files == nat.files == single.files == N_FILES
     # balanced completes sooner and with flatter per-node finish times

@@ -16,7 +16,7 @@ from repro.pftool import PftoolConfig
 from repro.sim import Environment
 from repro.workloads import huge_file_campaign
 
-from _common import GB, run_once, small_tape_spec, write_report
+from _common import GB, small_tape_spec, write_report
 
 FILE_SIZE = 64 * GB
 CHUNK = 2 * GB
@@ -75,8 +75,8 @@ def _run():
     )
 
 
-def test_a4_restartable_transfer(benchmark):
-    with_restart, full_recopy = run_once(benchmark, _run)
+def test_a4_restartable_transfer():
+    with_restart, full_recopy = _run()
 
     rows = [
         ("resent GB (chunk restart)", 0.0, with_restart["bytes_resent"] / GB),
@@ -96,7 +96,6 @@ def test_a4_restartable_transfer(benchmark):
     )
     print("\n" + report)
     write_report("A4", report)
-    benchmark.extra_info["resent_gb"] = with_restart["bytes_resent"] / GB
 
     assert with_restart["chunks_before_fault"] > 0
     # the known-good chunks were not re-sent

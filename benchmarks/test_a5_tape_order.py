@@ -17,7 +17,7 @@ from repro.pftool import PftoolConfig
 from repro.sim import Environment, RandomStreams
 from repro.workloads import small_file_flood
 
-from _common import GB, MB, run_once, small_tape_spec, write_report
+from _common import GB, MB, small_tape_spec, write_report
 
 N_FILES = 160
 SIZE = 30 * MB
@@ -61,8 +61,8 @@ def _run():
     return _run_one(True), _run_one(False)
 
 
-def test_a5_tape_ordered_recall(benchmark):
-    (t_ord, seek_ord), (t_rand, seek_rand) = run_once(benchmark, _run)
+def test_a5_tape_ordered_recall():
+    (t_ord, seek_ord), (t_rand, seek_rand) = _run()
 
     rows = [
         ("ordered restore s", 0.0, t_ord),
@@ -80,8 +80,6 @@ def test_a5_tape_ordered_recall(benchmark):
     )
     print("\n" + report)
     write_report("A5", report)
-    benchmark.extra_info["ordered_s"] = t_ord
-    benchmark.extra_info["unordered_s"] = t_rand
 
     # sequential front-to-back read beats seek-everywhere drastically
     assert seek_ord < seek_rand / 5

@@ -15,7 +15,7 @@ from repro.metrics import comparison_table
 from repro.tapesim import TapeLibrary, TapeSpec
 from repro.tsm import ShardedTsmStore, TsmServer
 
-from _common import MB, run_once, small_tape_spec, write_report
+from _common import MB, small_tape_spec, write_report
 
 N_OBJECTS = 240
 OBJ_SIZE = 1 * MB
@@ -41,8 +41,8 @@ def _run():
     return {n: _store_burst(n) for n in (1, 2, 4)}
 
 
-def test_a6_multi_tsm_server_scaling(benchmark):
-    times = run_once(benchmark, _run)
+def test_a6_multi_tsm_server_scaling():
+    times = _run()
     tput = {n: N_OBJECTS / t for n, t in times.items()}
 
     rows = [
@@ -61,7 +61,6 @@ def test_a6_multi_tsm_server_scaling(benchmark):
     )
     print("\n" + report)
     write_report("A6", report)
-    benchmark.extra_info["speedup_4"] = tput[4] / tput[1]
 
     # the single server is txn-bound; shards relieve it near-linearly
     assert tput[1] <= 1 / TXN_TIME * 1.2

@@ -17,7 +17,7 @@ from repro.pftool import PftoolConfig
 from repro.sim import Environment
 from repro.workloads import small_file_flood
 
-from _common import MB, run_once, small_tape_spec, write_report
+from _common import MB, small_tape_spec, write_report
 
 N_FILES = 600
 SIZE = 64_000  # 64 KB grass files
@@ -57,9 +57,9 @@ def _run():
     return _run_mode(False), _run_mode(True)
 
 
-def test_a7_grass_files_packing(benchmark):
+def test_a7_grass_files_packing():
     (copy_plain, mig_plain, tx_plain), (copy_pack, mig_pack, tx_pack) = (
-        run_once(benchmark, _run)
+        _run()
     )
 
     rows = [
@@ -78,7 +78,6 @@ def test_a7_grass_files_packing(benchmark):
     )
     print("\n" + report)
     write_report("A7", report)
-    benchmark.extra_info["migrate_speedup"] = mig_plain / mig_pack
 
     assert copy_pack < copy_plain
     assert tx_pack <= N_FILES // 32 + 2

@@ -18,7 +18,7 @@ from repro.metrics import comparison_table
 from repro.tapesim import TapeLibrary
 from repro.tsm import TsmServer
 
-from _common import MB, run_once, small_tape_spec, write_report
+from _common import MB, small_tape_spec, write_report
 
 N_PROJECTS = 4
 FILES_PER_PROJECT = 20
@@ -67,8 +67,8 @@ def _run():
     return _run_mode(True), _run_mode(False)
 
 
-def test_a8_collocation(benchmark):
-    coll, scatter = run_once(benchmark, _run)
+def test_a8_collocation():
+    coll, scatter = _run()
 
     rows = [
         ("volumes holding project (coll.)", 1.0, float(coll["volumes"])),
@@ -88,7 +88,6 @@ def test_a8_collocation(benchmark):
     )
     print("\n" + report)
     write_report("A8", report)
-    benchmark.extra_info["recall_ratio"] = scatter["duration"] / coll["duration"]
 
     # co-location keeps the project on one volume; scattering spreads it
     # and the recall pays a mount per volume touched

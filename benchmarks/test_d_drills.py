@@ -12,45 +12,33 @@ fault-free oracle on the same seeded workload and gates on
   (nothing fenced or down once the regime lifts).
 
 ``run_drill`` enforces those gates internally and raises on any
-violation; the benchmark layer adds the golden-headline pin in
-``benchmarks/results/BENCH_kernel.json`` and the same-seed determinism
-witness.  ``REPRO_D_SEED`` shifts every drill's seed for CI sweeps.
+violation; the benchmark layer adds the golden pin (headline and engine
+counters) in ``benchmarks/results/BENCH_kernel.json`` and the same-seed
+determinism witness.  ``REPRO_D_SEED`` shifts every drill's seed for CI
+sweeps.
 """
 
 import json
-import pathlib
 
-from repro.perf import _ensure_scenarios_loaded, compare_headlines, run_scenario
+from repro.perf import run_suite
 from repro.perf.drills import DRILLS, run_drill
 
-from _common import run_once, write_report
-
-GOLDEN = pathlib.Path(__file__).parent / "results" / "BENCH_kernel.json"
-
-_ensure_scenarios_loaded()
+from _common import check_golden, write_report
 
 
-def _drill_headline(benchmark, name):
-    result = run_once(benchmark, lambda: run_scenario(name))
-    return result["headline"]
+def _drill_headline(name):
+    report = run_suite([name])
+    check_golden(report, [name])
+    return report["scenarios"][name]["headline"]
 
 
-def _check_golden(name, headline):
-    golden = json.loads(GOLDEN.read_text())
-    mine = {"scenarios": {name: {"headline": headline}}}
-    want = {"scenarios": {name: golden["scenarios"][name]}}
-    drift = compare_headlines(mine, want)
-    assert not drift, f"{name} headline drift vs golden:\n" + "\n".join(drift)
-
-
-def test_d1_library_outage(benchmark):
-    headline = _drill_headline(benchmark, "d1_library_outage")
+def test_d1_library_outage():
+    headline = _drill_headline("d1_library_outage")
     # retrieves park while the library is fenced, archives keep landing:
     # goodput inside the 40 s outage window stays above the floor
     assert headline["goodput_in_window"] >= DRILLS["d1_library_outage"].goodput_floor
     assert headline["completed"] == headline["submitted"]
     assert headline["injected_total"] >= 1
-    _check_golden("d1_library_outage", headline)
     text = "\n".join([
         "D1  library outage drill (40 s, retrieves park, archives flow)",
         f"  submitted        {headline['submitted']}",
@@ -60,11 +48,10 @@ def test_d1_library_outage(benchmark):
     ])
     print("\n" + text)
     write_report("D1", text)
-    benchmark.extra_info["goodput_in_window"] = headline["goodput_in_window"]
 
 
-def test_d2_fta_pool_loss(benchmark):
-    headline = _drill_headline(benchmark, "d2_fta_pool_loss")
+def test_d2_fta_pool_loss():
+    headline = _drill_headline("d2_fta_pool_loss")
     # half the pool fences: jobs are preempted off dying nodes, every
     # preemption resumes, and the shrunken pool forces a brownout
     assert headline["health_requeues"] >= 1
@@ -72,7 +59,6 @@ def test_d2_fta_pool_loss(benchmark):
     assert headline["brownouts"] >= 1
     assert headline["brownout_time"] > 0
     assert headline["completed"] == headline["submitted"] - headline["preempted"]
-    _check_golden("d2_fta_pool_loss", headline)
     text = "\n".join([
         "D2  FTA pool-loss drill (half the pool, staggered, 35 s)",
         f"  submitted        {headline['submitted']}",
@@ -82,17 +68,15 @@ def test_d2_fta_pool_loss(benchmark):
     ])
     print("\n" + text)
     write_report("D2", text)
-    benchmark.extra_info["health_requeues"] = headline["health_requeues"]
 
 
-def test_d3_catalog_corruption(benchmark):
-    headline = _drill_headline(benchmark, "d3_catalog_corruption")
+def test_d3_catalog_corruption():
+    headline = _drill_headline("d3_catalog_corruption")
     # scrambled catalog rows fence retrieves until the mid-run reconcile
     # re-exports from TSM ground truth; run_drill gates verify_catalog==0
     assert headline["goodput_in_window"] >= DRILLS["d3_catalog_corruption"].goodput_floor
     assert headline["completed"] == headline["submitted"]
     assert headline["injected_total"] >= 3  # scrambled + dropped rows
-    _check_golden("d3_catalog_corruption", headline)
     text = "\n".join([
         "D3  catalog-corruption drill (3 rows damaged, reconcile at +35 s)",
         f"  submitted        {headline['submitted']}",
@@ -102,19 +86,14 @@ def test_d3_catalog_corruption(benchmark):
     ])
     print("\n" + text)
     write_report("D3", text)
-    benchmark.extra_info["injected_total"] = headline["injected_total"]
 
 
-def test_drills_same_seed_byte_identical(benchmark):
+def test_drills_same_seed_byte_identical():
     """Two same-seed D2 runs (the drill with the most moving parts:
     staggered node loss, preempt/resume, brownout, delayed messages)
     agree on the full fault-leg account, byte for byte."""
     spec = DRILLS["d2_fta_pool_loss"]
-
-    def both():
-        return run_drill(spec), run_drill(spec)
-
-    a, b = run_once(benchmark, both)
+    a, b = run_drill(spec), run_drill(spec)
     for res in (a, b):
         assert res["seed"] == a["seed"]
     fa, fb = a["fault"], b["fault"]

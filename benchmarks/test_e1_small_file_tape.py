@@ -15,7 +15,7 @@ from repro.metrics import comparison_table
 from repro.sim import Environment
 from repro.workloads import small_file_flood, huge_file_campaign
 
-from _common import GB, MB, run_once, small_tape_spec, write_report
+from _common import GB, MB, small_tape_spec, write_report
 
 N_SMALL = 120
 SMALL = 8 * MB
@@ -73,8 +73,8 @@ def _run():
     return per_file_rate, agg_rate, large_rate, bh_per_file, bh_agg
 
 
-def test_e1_small_file_tape_collapse(benchmark):
-    per_file, agg, large, bh_pf, bh_agg = run_once(benchmark, _run)
+def test_e1_small_file_tape_collapse():
+    per_file, agg, large, bh_pf, bh_agg = _run()
 
     rows = [
         ("8MB files, per-file MB/s", 4.0, per_file / MB),
@@ -89,8 +89,6 @@ def test_e1_small_file_tape_collapse(benchmark):
     )
     print("\n" + report)
     write_report("E1", report)
-    benchmark.extra_info["small_mbps"] = per_file / MB
-    benchmark.extra_info["large_mbps"] = large / MB
 
     # paper's shape: ~25x collapse, aggregation restores streaming speed
     assert per_file / MB < 8.0  # collapsed (paper: 4 MB/s)

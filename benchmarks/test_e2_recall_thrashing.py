@@ -17,7 +17,7 @@ from repro.metrics import comparison_table
 from repro.sim import Environment
 from repro.workloads import small_file_flood
 
-from _common import MB, run_once, small_tape_spec, write_report
+from _common import MB, small_tape_spec, write_report
 
 N_FILES = 80
 SIZE = 25 * MB
@@ -52,8 +52,8 @@ def _run():
     return naive, sticky, no_penalty
 
 
-def test_e2_recall_thrashing(benchmark):
-    naive, sticky, no_penalty = run_once(benchmark, _run)
+def test_e2_recall_thrashing():
+    naive, sticky, no_penalty = _run()
 
     rows = [
         ("naive recall MB/s", 0.0, naive["rate"] / MB),
@@ -72,8 +72,6 @@ def test_e2_recall_thrashing(benchmark):
     )
     print("\n" + report)
     write_report("E2", report)
-    benchmark.extra_info["naive_s"] = naive["duration"]
-    benchmark.extra_info["sticky_s"] = sticky["duration"]
 
     # the paper's qualitative claims, quantified
     assert naive["handoffs"] > N_FILES / 2  # nearly every recall thrashes

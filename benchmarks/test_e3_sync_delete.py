@@ -18,7 +18,7 @@ from repro.metrics import comparison_table
 from repro.sim import Environment
 from repro.workloads import small_file_flood
 
-from _common import MB, run_once, small_tape_spec, write_report
+from _common import MB, small_tape_spec, write_report
 
 N_FILES = 20_000
 DELETE_FRACTION = 0.01
@@ -76,8 +76,8 @@ def _run():
     return sync_time, reconcile_time, len(victims), report
 
 
-def test_e3_sync_delete_vs_reconcile(benchmark):
-    sync_time, reconcile_time, n_deleted, report = run_once(benchmark, _run)
+def test_e3_sync_delete_vs_reconcile():
+    sync_time, reconcile_time, n_deleted, report = _run()
 
     rows = [
         ("sync-delete seconds", float(n_deleted) * 0.05, sync_time),
@@ -96,8 +96,6 @@ def test_e3_sync_delete_vs_reconcile(benchmark):
     )
     print("\n" + report_text)
     write_report("E3", report_text)
-    benchmark.extra_info["sync_s"] = sync_time
-    benchmark.extra_info["reconcile_s"] = reconcile_time
 
     assert reconcile_time > 10 * sync_time  # the 'unacceptable' gap
     assert report.files_walked >= N_FILES - n_deleted

@@ -16,7 +16,7 @@ from repro.pftool import PftoolConfig
 from repro.sim import Environment
 from repro.workloads import small_file_flood
 
-from _common import MB, small_tape_spec, run_once, write_report
+from _common import MB, small_tape_spec, write_report
 
 N_FILES = 48
 FILE_SIZE = 40 * MB
@@ -64,8 +64,8 @@ def _run():
     return clean, faulted
 
 
-def test_f1_fault_recovery_overhead(benchmark):
-    clean, faulted = run_once(benchmark, _run)
+def test_f1_fault_recovery_overhead():
+    clean, faulted = _run()
 
     slowdown = faulted.duration / clean.duration
     rows = [
@@ -86,8 +86,6 @@ def test_f1_fault_recovery_overhead(benchmark):
     )
     print("\n" + report)
     write_report("F1", report)
-    benchmark.extra_info["slowdown"] = slowdown
-    benchmark.extra_info["retries"] = dict(faulted.retries_by_class)
 
     # recovery, not abandonment: everything restored, nothing wedged
     assert faulted.tape_files_restored == N_FILES

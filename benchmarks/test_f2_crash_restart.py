@@ -24,7 +24,7 @@ from repro.metrics import comparison_table
 from repro.recovery import JobJournal
 from repro.sim import Environment
 
-from _common import MB, paper_site, pftool_cfg, run_once, seed_scratch_tree, write_report
+from _common import MB, paper_site, pftool_cfg, seed_scratch_tree, write_report
 
 N_SMALL = 16
 SMALL_SIZE = 40 * MB
@@ -90,8 +90,8 @@ def _run():
     return clean, crash_at, resume, scratch
 
 
-def test_f2_crash_restart_overhead(benchmark):
-    clean, crash_at, resume, scratch = run_once(benchmark, _run)
+def test_f2_crash_restart_overhead():
+    clean, crash_at, resume, scratch = _run()
     resume_wall, crashed_stats, resume_stats = resume
     scratch_wall, _, scratch_stats = scratch
 
@@ -121,9 +121,6 @@ def test_f2_crash_restart_overhead(benchmark):
     )
     print("\n" + report)
     write_report("F2", report)
-    benchmark.extra_info["resume_copied_mb"] = resume_stats.bytes_copied / MB
-    benchmark.extra_info["scratch_copied_mb"] = scratch_stats.bytes_copied / MB
-    benchmark.extra_info["wall_ratio"] = resume_wall / scratch_wall
 
     # the journal frontier is honoured: the resume never redoes
     # journalled work — at most the un-journalled remainder plus one

@@ -25,7 +25,7 @@ from repro.sim import Environment, RandomStreams
 from repro.workloads import PAPER_62_JOBS, generate_open_science_trace
 from repro.workloads.generators import materialize_job
 
-from _common import MB, GB, run_once, write_report
+from _common import MB, GB, write_report
 
 MAX_FILES = 150
 MEAN_INTERARRIVAL = 60.0  # seconds between job submissions
@@ -107,8 +107,8 @@ def _run_trace():
     return np.array(rates), sres.rate
 
 
-def test_fig10_per_job_data_rate(benchmark):
-    rates, serial_rate = run_once(benchmark, _run_trace)
+def test_fig10_per_job_data_rate():
+    rates, serial_rate = _run_trace()
     mbps = rates / MB
     P = PAPER_62_JOBS
 
@@ -127,8 +127,6 @@ def test_fig10_per_job_data_rate(benchmark):
     report = f"{series}\n\n{table}"
     print("\n" + report)
     write_report("FIG10", report)
-    benchmark.extra_info["rate_mean_mbps"] = float(mbps.mean())
-    benchmark.extra_info["serial_mbps"] = serial_rate / MB
 
     assert len(mbps) == 62
     # shape assertions: who wins and by roughly what factor

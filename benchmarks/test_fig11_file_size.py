@@ -8,11 +8,11 @@ projects' data characteristics.
 from repro.metrics import comparison_table, render_series
 from repro.workloads import PAPER_62_JOBS, generate_open_science_trace
 
-from _common import MB, run_once, write_report
+from _common import MB, write_report
 
 
-def test_fig11_avg_file_size_per_job(benchmark):
-    trace = run_once(benchmark, lambda: generate_open_science_trace(seed=2009))
+def test_fig11_avg_file_size_per_job():
+    trace = generate_open_science_trace(seed=2009)
     mb = trace.mean_size_per_job() / MB
 
     rows = [
@@ -27,7 +27,6 @@ def test_fig11_avg_file_size_per_job(benchmark):
     report = f"{series}\n\n{table}"
     print("\n" + report)
     write_report("FIG11", report)
-    benchmark.extra_info["avg_size_mean_mb"] = float(mb.mean())
 
     assert abs(mb.min() * MB / PAPER_62_JOBS["mean_size_min"] - 1) < 0.02
     assert abs(mb.max() * MB / PAPER_62_JOBS["mean_size_max"] - 1) < 0.02

@@ -10,11 +10,11 @@ import numpy as np
 from repro.metrics import comparison_table, render_series
 from repro.workloads import PAPER_62_JOBS, generate_open_science_trace
 
-from _common import run_once, write_report
+from _common import write_report
 
 
-def test_fig8_files_per_job(benchmark):
-    trace = run_once(benchmark, lambda: generate_open_science_trace(seed=2009))
+def test_fig8_files_per_job():
+    trace = generate_open_science_trace(seed=2009)
     files = trace.files_per_job()
 
     rows = [
@@ -28,8 +28,6 @@ def test_fig8_files_per_job(benchmark):
     print("\n" + report)
     write_report("FIG8", report)
 
-    benchmark.extra_info["files_mean"] = float(files.mean())
-    benchmark.extra_info["files_max"] = int(files.max())
 
     assert files.min() == PAPER_62_JOBS["files_min"]
     assert files.max() == PAPER_62_JOBS["files_max"]

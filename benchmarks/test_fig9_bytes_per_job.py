@@ -8,11 +8,11 @@ import numpy as np
 from repro.metrics import comparison_table, render_series
 from repro.workloads import PAPER_62_JOBS, generate_open_science_trace
 
-from _common import GB, run_once, write_report
+from _common import GB, write_report
 
 
-def test_fig9_bytes_per_job(benchmark):
-    trace = run_once(benchmark, lambda: generate_open_science_trace(seed=2009))
+def test_fig9_bytes_per_job():
+    trace = generate_open_science_trace(seed=2009)
     gb = trace.bytes_per_job() / GB
 
     rows = [
@@ -28,7 +28,6 @@ def test_fig9_bytes_per_job(benchmark):
     report = f"{series}\n\n{table}"
     print("\n" + report)
     write_report("FIG9", report)
-    benchmark.extra_info["gb_mean"] = float(gb.mean())
 
     assert gb.min() * GB == PAPER_62_JOBS["bytes_min"]
     assert gb.max() * GB == PAPER_62_JOBS["bytes_max"]

@@ -1,49 +1,37 @@
-"""K1 — simulation-engine fast path (kernel/netsim/resources hot loops).
+"""K1 — simulation-engine scenario suite (kernel/netsim/resources hot loops).
 
 Not a paper figure: this bench guards the *engine* itself.  PR 3 made
 fair-share re-allocation incremental (per-component solves instead of
 recompute-everything), store queues O(1) (deques + tombstone lazy
 cancellation) and message delivery process-free (pooled kernel timers).
-The contract is that none of this may change simulated results: every
-scenario in :mod:`repro.perf` emits machine-independent *headline*
-numbers which must equal the committed golden file
-``benchmarks/results/BENCH_kernel.json`` bit-for-bit (modulo float
-tolerance); wall-clock and events/sec are trajectory data.
+The contract is that none of this may change simulated results or the
+work the engine does: every scenario in :mod:`repro.perf` reports
+machine-independent engine counters and *headline* numbers, which must
+equal the committed golden file ``benchmarks/results/BENCH_kernel.json``
+(counters exactly, headlines within float tolerance).
 
-``benchmarks/results/BENCH_kernel.baseline.json`` preserves the
-pre-optimisation run of the identical scenarios for the speedup record
-(fabric_churn 5.5x, fabric_sparse 4.4x wall; both >=3x events/sec).
+Host time is not measured here.  ``perfbench/`` is the benchmark of
+record; ``python tools/perf_ab.py REV`` compares the working tree with
+revision REV on it, same machine, alternating runs.
 """
 
-import json
-import pathlib
+from repro.perf import format_report, run_suite
 
-from repro.perf import compare_headlines, run_suite
-
-from _common import run_once, write_report
-
-GOLDEN = pathlib.Path(__file__).parent / "results" / "BENCH_kernel.json"
+from _common import check_golden, write_report
 
 
-def test_k1_engine_suite(benchmark):
-    report = run_once(benchmark, run_suite)
+def test_k1_engine_suite():
+    report = run_suite()
+    check_golden(report)
 
-    golden = json.loads(GOLDEN.read_text())
-    drift = compare_headlines(report, golden)
-    assert not drift, "simulated headline drift vs golden:\n" + "\n".join(drift)
-
-    lines = ["K1  engine microbenchmarks (headline-checked vs golden)"]
-    for name, m in report["scenarios"].items():
-        lines.append(
-            f"  {name:16s} {m['wall_s']:8.3f}s {m['events']:>8} events "
-            f"{m['events_per_s']:>8}/s  recomputes {m['rate_recomputes']}"
-        )
-        benchmark.extra_info[f"{name}_events_per_s"] = m["events_per_s"]
-    text = "\n".join(lines)
+    text = (
+        "K1  engine scenario suite (counters and headlines checked vs "
+        "golden)\n" + format_report(report)
+    )
     print("\n" + text)
     write_report("K1", text)
 
-    # the optimisation floor this PR claims: fabric-heavy scenarios keep
-    # their solver counts down (0 solves when nothing shares a link)
+    # fabric-heavy scenarios keep their solver counts down (0 solves
+    # when nothing shares a link)
     assert report["scenarios"]["fabric_sparse"]["rate_recomputes"] == 0
     assert report["scenarios"]["store_churn"]["rate_recomputes"] == 0

@@ -15,36 +15,29 @@ Checked contract:
 * every submission completes and every preloaded byte lands
   (conservation through the scheduler layer);
 * the run is byte-identical across same-seed repeats (dispatch order
-  and headline), and matches the committed golden in
-  ``benchmarks/results/BENCH_kernel.json``.
+  and headline), and its headline and engine counters match the
+  committed golden in ``benchmarks/results/BENCH_kernel.json``.
 """
 
 import json
-import pathlib
 
-from repro.perf import compare_headlines
+from repro.perf import ScenarioOutcome, measure
 from repro.scheduler.scenario import S1Params, run_s1
 from repro.trace import Tracer, tracing
 from repro.trace.assertions import TraceAssertions
 
-from _common import run_once, write_report
-
-GOLDEN = pathlib.Path(__file__).parent / "results" / "BENCH_kernel.json"
+from _common import check_golden, write_report
 
 #: post-warmup bound on the fair-share deviation (measured 0.036 at the
 #: S1 default seed; the bound leaves headroom without hiding regressions)
 DEVIATION_BOUND = 0.05
 
 
-def test_s1_scheduler_flood(benchmark):
+def test_s1_scheduler_flood():
     params = S1Params()
     tracer = Tracer()
-
-    def run():
-        with tracing(tracer):
-            return run_s1(params)
-
-    result = run_once(benchmark, run)
+    with tracing(tracer):
+        result = run_s1(params)
     service = result["service"]
     headline = result["headline"]
 
@@ -75,13 +68,11 @@ def test_s1_scheduler_flood(benchmark):
     assert len(ta.select("sched:complete", ph="i")) == params.n_jobs
 
     # golden check: the s1_scheduler entry in BENCH_kernel.json
-    golden = json.loads(GOLDEN.read_text())
-    mine = {"scenarios": {"s1_scheduler": {"headline": headline}}}
-    want = {"scenarios": {
-        "s1_scheduler": golden["scenarios"]["s1_scheduler"],
-    }}
-    drift = compare_headlines(mine, want)
-    assert not drift, "S1 headline drift vs golden:\n" + "\n".join(drift)
+    entry = measure(ScenarioOutcome(
+        env=result["env"], headline=headline,
+        fabrics=(result["system"].topology.fabric,),
+    ))
+    check_golden({"scenarios": {"s1_scheduler": entry}}, ["s1_scheduler"])
 
     text = "\n".join([
         "S1  archive-as-a-service scheduler flood",
@@ -95,19 +86,13 @@ def test_s1_scheduler_flood(benchmark):
     ])
     print("\n" + text)
     write_report("S1", text)
-    benchmark.extra_info["peak_in_flight"] = headline["peak_in_flight"]
-    benchmark.extra_info["max_deviation"] = headline["max_deviation"]
 
 
-def test_s1_same_seed_byte_identical(benchmark):
+def test_s1_same_seed_byte_identical():
     """Two same-seed runs agree on dispatch order and headline, byte for
     byte — the determinism witness for the whole scheduler stack."""
     params = S1Params(n_jobs=250)
-
-    def both():
-        return run_s1(params), run_s1(params)
-
-    a, b = run_once(benchmark, both)
+    a, b = run_s1(params), run_s1(params)
     assert a["service"].dispatch_log == b["service"].dispatch_log
     assert (
         json.dumps(a["headline"], sort_keys=True)

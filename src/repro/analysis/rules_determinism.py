@@ -7,7 +7,9 @@ and simulated time comes from ``env.now`` — never from the host's
 ``os.urandom``, or module-level ``numpy.random`` state.  Iterating a
 ``set`` literal/constructor directly is also flagged: element order
 depends on the interpreter's hash seed, which silently reorders
-otherwise-deterministic runs.
+otherwise-deterministic runs.  A module-level ``itertools.count(...)``
+is flagged too: it outlives every simulation in the process, so ids it
+hands out depend on what ran before (``Environment.next_id`` instead).
 
 ``sim/rng.py`` (the stream factory itself) and ``faults.py`` (which
 seeds its plans through RandomStreams) are allowlisted.
@@ -71,6 +73,7 @@ class DeterminismRule(Rule):
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if self._allowed(module):
             return
+        yield from self._module_counters(module)
         for node in ast.walk(module.tree):
             finding = self._check_node(module, node)
             if finding is not None:
@@ -130,6 +133,19 @@ class DeterminismRule(Rule):
                         "sort it or iterate a sequence",
                     )
         return None
+
+    def _module_counters(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in module.tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            value = node.value
+            if (isinstance(value, ast.Call)
+                    and dotted_name(value.func) == "itertools.count"):
+                yield self._finding(
+                    module, value,
+                    "module-level itertools.count() (shared by every "
+                    "simulation in the process); use env.next_id(kind)",
+                )
 
     @staticmethod
     def _is_set_expr(node: ast.expr) -> bool:

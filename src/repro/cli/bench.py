@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         for exp, (ref, desc, _) in EXPERIMENTS.items():
             print(f"{exp:<6} {ref:<11} {desc}")
         print(f"\nrun one:  repro-bench E1")
-        print(f"run all:  pytest {bench_dir} --benchmark-only")
+        print(f"run all:  pytest {bench_dir} -q")
         return 0
 
     exp = args.experiment.upper()
@@ -66,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     target = bench_dir / EXPERIMENTS[exp][2]
     return subprocess.call(
-        [sys.executable, "-m", "pytest", str(target), "--benchmark-only",
-         "-q", "-s"],
+        [sys.executable, "-m", "pytest", str(target), "-q", "-s"],
         cwd=str(bench_dir),
     )
 

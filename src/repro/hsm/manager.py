@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -251,7 +252,9 @@ class HsmManager:
     # ------------------------------------------------------------------
     def _route_node(self, volume: str) -> str:
         if self.recall_routing == "sticky":
-            return self.nodes[hash(volume) % len(self.nodes)]
+            # crc32, not hash(): str hashes change with the interpreter's
+            # hash seed, and so would every routing decision
+            return self.nodes[zlib.crc32(volume.encode()) % len(self.nodes)]
         return self.nodes[next(self._rr) % len(self.nodes)]
 
     def recall(self, path: str) -> Event:

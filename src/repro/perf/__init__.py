@@ -1,54 +1,58 @@
-"""Engine microbenchmark harness (``python -m repro.perf``).
+"""Engine scenario suite (``python -m repro.perf``).
 
-Tracks the simulator's performance trajectory from PR to PR.  Each
-*scenario* is a deterministic, seeded simulation slice that stresses one
-engine hot path (fabric fair-share reallocation, store/queue churn,
-mpisim message delivery, or a reduced paper-figure workload).  The
-runner measures, per scenario:
+Each *scenario* is a deterministic, seeded simulation slice that
+stresses one engine hot path (fabric fair-share reallocation,
+store/queue churn, mpisim message delivery, the metadata plane, the
+disaster drills, or a reduced paper-figure workload).  The runner
+reports, per scenario, only values fixed by the seed and parameters:
 
-* ``wall_s`` — wall-clock seconds for one run,
-* ``events`` / ``events_per_s`` — kernel events popped and throughput,
+* ``events`` — kernel events popped,
 * ``peak_queue_len`` — event-queue high-water mark,
 * ``instants`` / ``max_instant_batch`` — same-instant dispatch cohorts
   and the largest one (``events / instants`` is the mean batch size the
   cohort drain amortises generator-resume overhead over),
 * ``rate_recomputes`` — fair-share solver invocations on all fabrics,
 * ``headline`` — *simulated* outputs (bytes moved, job durations, end
-  times).  These are machine-independent and guarded by
-  :func:`compare_headlines`: any optimisation must leave them unchanged,
-  which is how the determinism guarantee turns perf work into a
-  mechanically checkable refactor.
+  times).
 
-``BENCH_kernel.json`` (written by ``--out``, committed under
-``benchmarks/results/``) is both the perf trajectory record and the
-golden file CI's perf-smoke job checks drift against.
+:func:`compare_report` checks all of them against
+``benchmarks/results/BENCH_kernel.json`` (written by ``--out``), so an
+engine change that alters any simulated result or the work the engine
+does to produce it is caught mechanically.  Host time is not measured
+here: ``perfbench/`` is the benchmark of record, and
+``tools/perf_ab.py`` compares two revisions on it.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.sim import Environment
 
 __all__ = [
+    "COUNTERS",
     "SCENARIOS",
     "ScenarioOutcome",
-    "compare_headlines",
+    "compare_report",
+    "measure",
     "run_scenario",
     "run_suite",
     "scenario",
 ]
 
 #: JSON schema version of the emitted report
-SCHEMA = 1
+SCHEMA = 2
 
 #: relative tolerance for headline comparisons — simulated quantities are
 #: deterministic, but summation order may legally shift by float ulps when
 #: the engine's internal event sequencing changes
 HEADLINE_RTOL = 1e-9
+
+#: engine counters reported per scenario and compared exactly
+COUNTERS = ("events", "instants", "max_instant_batch", "peak_queue_len",
+            "rate_recomputes")
 
 
 @dataclass
@@ -61,9 +65,6 @@ class ScenarioOutcome:
     #: fabrics whose ``rate_recomputes`` counters to aggregate
     fabrics: tuple = ()
     notes: str = ""
-    #: machine-dependent trajectory numbers (files/sec and friends) —
-    #: reported alongside wall_s/events_per_s, never compared as goldens
-    extras: Optional[dict] = None
 
 
 #: name -> scenario callable, in registration (report) order
@@ -82,25 +83,22 @@ def scenario(name: str) -> Callable:
     return _register
 
 
-def run_scenario(name: str) -> dict:
-    """Run one scenario and return its metrics dict."""
-    fn = SCENARIOS[name]
-    t0 = time.perf_counter()  # noqa: RA001 - benchmark harness measures wall clock
-    out = fn()
-    wall = time.perf_counter() - t0  # noqa: RA001 - benchmark harness measures wall clock
+def measure(out: ScenarioOutcome) -> dict:
+    """The report entry for one finished scenario: counters and headline."""
     env = out.env
-    events = env.events_processed
     return {
-        "wall_s": round(wall, 4),
-        "events": events,
-        "events_per_s": int(events / wall) if wall > 0 else 0,
-        "peak_queue_len": env.peak_queue_len,
+        "events": env.events_processed,
         "instants": env.instants,
         "max_instant_batch": env.max_instant_batch,
+        "peak_queue_len": env.peak_queue_len,
         "rate_recomputes": int(sum(f.rate_recomputes for f in out.fabrics)),
         "headline": out.headline,
-        **({"extra": out.extras} if out.extras else {}),
     }
+
+
+def run_scenario(name: str) -> dict:
+    """Run one scenario and return its report entry."""
+    return measure(SCENARIOS[name]())
 
 
 def run_suite(names: Optional[Iterable[str]] = None) -> dict:
@@ -130,26 +128,37 @@ def _ensure_scenarios_loaded() -> None:
         _SCENARIO_MODULES_LOADED = True
 
 
-def compare_headlines(
-    report: Mapping, golden: Mapping, rtol: float = HEADLINE_RTOL
+def compare_report(
+    report: Mapping,
+    golden: Mapping,
+    names: Optional[Iterable[str]] = None,
+    rtol: float = HEADLINE_RTOL,
 ) -> list[str]:
-    """Differences between a report's and a golden file's headline numbers.
+    """Differences between a report and a golden report.
 
-    Only ``headline`` values are compared — wall-clock and events/sec are
-    machine-dependent trajectory data, not correctness.  Returns a list of
-    human-readable drift descriptions (empty = no drift).  Scenarios present
-    in the golden file but missing from the report are drift (a bench was
-    silently dropped); extra scenarios in the report are not (new benches
-    may land before their goldens).
+    Checks the scenarios in *names*, or every golden scenario when
+    *names* is None: a full run that lacks one is drift (a scenario was
+    silently dropped).  Engine counters must match exactly, headline
+    values within *rtol*.  Returns human-readable drift descriptions
+    (empty = no drift).
     """
     drift: list[str] = []
     gold_scenarios = golden.get("scenarios", {})
     new_scenarios = report.get("scenarios", {})
-    for name, gold in gold_scenarios.items():
+    for name in gold_scenarios if names is None else names:
+        gold = gold_scenarios.get(name)
         mine = new_scenarios.get(name)
+        if gold is None:
+            drift.append(f"{name}: no golden entry")
+            continue
         if mine is None:
             drift.append(f"{name}: scenario missing from report")
             continue
+        for key in COUNTERS:
+            if mine.get(key) != gold.get(key):
+                drift.append(
+                    f"{name}.{key}: {mine.get(key)!r} != golden {gold.get(key)!r}"
+                )
         gold_head = gold.get("headline", {})
         mine_head = mine.get("headline", {})
         for key, want in gold_head.items():
@@ -175,16 +184,15 @@ def _close(a, b, rtol: float) -> bool:
 
 
 def format_report(report: Mapping) -> str:
-    """Human-readable table of a suite report."""
+    """Human-readable table of a suite report's engine counters."""
     lines = [
-        f"{'scenario':<16} {'wall s':>8} {'events':>10} {'events/s':>10} "
-        f"{'peak q':>7} {'instants':>9} {'max batch':>9} {'recomputes':>10}",
+        f"{'scenario':<22} {'events':>8} {'instants':>9} {'max batch':>9} "
+        f"{'peak q':>7} {'recomputes':>10}",
     ]
     for name, m in report.get("scenarios", {}).items():
         lines.append(
-            f"{name:<16} {m['wall_s']:>8.3f} {m['events']:>10} "
-            f"{m['events_per_s']:>10} {m['peak_queue_len']:>7} "
-            f"{m.get('instants', 0):>9} {m.get('max_instant_batch', 0):>9} "
+            f"{name:<22} {m['events']:>8} {m['instants']:>9} "
+            f"{m['max_instant_batch']:>9} {m['peak_queue_len']:>7} "
             f"{m['rate_recomputes']:>10}"
         )
     return "\n".join(lines)

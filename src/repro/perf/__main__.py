@@ -1,15 +1,16 @@
-"""CLI for the engine microbenchmark suite.
+"""CLI for the engine scenario suite.
 
 Examples
 --------
-Run everything and write the trajectory file::
+Run everything and write the golden file::
 
     python -m repro.perf --out benchmarks/results/BENCH_kernel.json
 
-CI perf-smoke: run, then fail on simulated-headline drift against the
-committed goldens::
+Run, then fail on any counter or headline drift against the committed
+goldens (a named subset checks exactly that subset)::
 
-    python -m repro.perf --out /tmp/bench.json \
+    python -m repro.perf --check benchmarks/results/BENCH_kernel.json
+    python -m repro.perf d1_library_outage \
         --check benchmarks/results/BENCH_kernel.json
 """
 
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro.perf import (
     SCENARIOS,
-    compare_headlines,
+    compare_report,
     dump_report,
     format_report,
     load_report,
@@ -32,8 +33,8 @@ from repro.perf import (
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="Engine events/sec + wall-clock microbenchmarks "
-        "(emits BENCH_kernel.json).",
+        description="Deterministic engine scenarios: simulated headlines "
+        "and engine counters (emits BENCH_kernel.json).",
     )
     parser.add_argument(
         "names", nargs="*", metavar="SCENARIO",
@@ -45,19 +46,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--check", metavar="GOLDEN", default=None,
-        help="compare simulated headline numbers against a golden report; "
-        "exit 1 on any drift",
+        help="compare engine counters and simulated headlines of the "
+        "scenarios run against a golden report; exit 1 on any drift",
     )
     parser.add_argument(
         "--scenarios", metavar="NAMES", default=None,
         help="comma-separated subset to run (default: all)",
-    )
-    parser.add_argument(
-        "--gate-events-ratio", metavar="R", type=float, default=None,
-        help="with --check: also fail if any scenario's events/s falls "
-        "below R x the golden value (e.g. 0.8 = tolerate a 20%% drop); "
-        "throughput is machine-dependent, so this is a smoke gate, not "
-        "a benchmark",
     )
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
@@ -88,43 +82,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check:
         golden = load_report(args.check)
-        drift = compare_headlines(report, golden)
+        drift = compare_report(report, golden, names)
         if drift:
-            print(f"\nHEADLINE DRIFT vs {args.check}:", file=sys.stderr)
+            print(f"\nDRIFT vs {args.check}:", file=sys.stderr)
             for line in drift:
                 print(f"  {line}", file=sys.stderr)
             return 1
-        print(f"\nheadlines match {args.check}")
-        if args.gate_events_ratio is not None:
-            slow = _events_regressions(report, golden, args.gate_events_ratio)
-            if slow:
-                print(
-                    f"\nEVENTS/S REGRESSION vs {args.check} "
-                    f"(gate {args.gate_events_ratio:g}x):",
-                    file=sys.stderr,
-                )
-                for line in slow:
-                    print(f"  {line}", file=sys.stderr)
-                return 1
-            print(f"events/s within {args.gate_events_ratio:g}x of golden")
-    elif args.gate_events_ratio is not None:
-        parser.error("--gate-events-ratio requires --check")
+        print(f"\ncounters and headlines match {args.check}")
     return 0
-
-
-def _events_regressions(report, golden, ratio: float) -> list[str]:
-    """Scenarios whose throughput fell below ratio x the golden's."""
-    slow: list[str] = []
-    mine = report.get("scenarios", {})
-    for name, gold in golden.get("scenarios", {}).items():
-        m = mine.get(name)
-        want = gold.get("events_per_s", 0)
-        if m is None or not want:
-            continue
-        got = m.get("events_per_s", 0)
-        if got < ratio * want:
-            slow.append(f"{name}: {got} events/s < {ratio:g} x golden {want}")
-    return slow
 
 
 if __name__ == "__main__":

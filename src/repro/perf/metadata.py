@@ -9,7 +9,7 @@ that population pressure:
 * ``m1_index_scan`` — bulk-seed a sharded index and stream the entire
   catalog in global ``(volume, seq)`` recall order through the k-way
   merge, proving the scan is bounded-memory (peak live entries is a
-  *headline*, not a hope) and measuring files/sec;
+  *headline*, not a hope);
 * ``m2_recall_sort`` — a PFTool-style locate storm through the LRU hot
   cache (hot working set + cold scatter), then the full streaming
   recall sort; headlines include the deterministic cache hit/miss split
@@ -19,17 +19,15 @@ that population pressure:
   orphans, then purge them.
 
 Populations default to 10^5 (CI perf-smoke tier) and scale through
-``REPRO_M_POP`` — the metadata-smoke CI job runs 10^6; EXPERIMENTS.md
-extrapolates the measured files/sec to the paper's 10^7-10^8.  All
-*headline* values (counts, CRC-32 order checksums, simulated end times)
-are machine-independent and population-keyed goldens; wall-clock
-files/sec rides in ``extra``.
+``REPRO_M_POP`` — the metadata-smoke CI job runs 10^6.  All *headline*
+values (counts, CRC-32 order checksums, shard balance, cache hit rate,
+simulated end times) are machine-independent and population-keyed
+goldens.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import zlib
 from typing import Iterator
 
@@ -156,14 +154,10 @@ def m1_index_scan(pop: int = 0) -> ScenarioOutcome:
     """Bulk-seed the sharded index, stream the full recall order."""
     pop = pop or M_POP
     env = Environment()
-    t0 = time.perf_counter()  # noqa: RA001 - benchmark measures wall clock
     db = _build_index(env, pop, seed=90210)
-    t_build = time.perf_counter() - t0  # noqa: RA001 - benchmark wall clock
     gauge = BufferGauge()
     stats = _stream_all(env, db, gauge)
-    t1 = time.perf_counter()  # noqa: RA001 - benchmark measures wall clock
     env.run()
-    t_scan = time.perf_counter() - t1  # noqa: RA001 - benchmark wall clock
     _check_bounded(gauge, pop)
     if stats["count"] != len(db):
         raise SimulationError(
@@ -180,14 +174,10 @@ def m1_index_scan(pop: int = 0) -> ScenarioOutcome:
             "peak_live": float(gauge.peak),
             "shard_max": float(max(sizes)),
             "shard_min": float(min(sizes)),
+            "shard_balance": round(db.shard_balance(), 6),
             "end_time": round(env.now, 9),
         },
         notes=f"{M_SHARDS} shards, batch {M_BATCH}",
-        extras={
-            "build_files_per_s": int(pop / t_build) if t_build > 0 else 0,
-            "scan_files_per_s": int(pop / t_scan) if t_scan > 0 else 0,
-            "shard_balance": round(db.shard_balance(), 6),
-        },
     )
 
 
@@ -221,9 +211,7 @@ def m2_recall_sort(pop: int = 0) -> ScenarioOutcome:
     cache_hits, cache_misses = db.cache.hits, db.cache.misses
     gauge = BufferGauge()
     stats = _stream_all(env, db, gauge)
-    t0 = time.perf_counter()  # noqa: RA001 - benchmark measures wall clock
     env.run()
-    t_scan = time.perf_counter() - t0  # noqa: RA001 - benchmark wall clock
     _check_bounded(gauge, pop)
     db.publish_metrics()
     return ScenarioOutcome(
@@ -234,15 +222,12 @@ def m2_recall_sort(pop: int = 0) -> ScenarioOutcome:
             "found": float(lookups["hits"]),
             "cache_hits": float(cache_hits),
             "cache_misses": float(cache_misses),
+            "cache_hit_rate": round(db.cache.hit_rate, 6),
             "peak_live": float(gauge.peak),
             "order_crc": float(stats["crc"]),
             "end_time": round(env.now, 9),
         },
         notes=f"hot set {hot}, cache 4096",
-        extras={
-            "sort_files_per_s": int(pop / t_scan) if t_scan > 0 else 0,
-            "cache_hit_rate": round(db.cache.hit_rate, 6),
-        },
     )
 
 
@@ -284,9 +269,7 @@ def m3_reconcile(pop: int = 0) -> ScenarioOutcome:
         result["crc"] = crc
 
     env.process(_proc(), name="reconcile")
-    t0 = time.perf_counter()  # noqa: RA001 - benchmark measures wall clock
     env.run()
-    wall = time.perf_counter() - t0  # noqa: RA001 - benchmark wall clock
     if result["scanned"] != pop:
         raise SimulationError(
             f"reconcile scanned {result['scanned']} of {pop} rows"
@@ -300,8 +283,5 @@ def m3_reconcile(pop: int = 0) -> ScenarioOutcome:
             "orphan_crc": float(result["crc"]),
             "remaining": float(len(db)),
             "end_time": round(env.now, 9),
-        },
-        extras={
-            "reconcile_files_per_s": int(pop / wall) if wall > 0 else 0,
         },
     )

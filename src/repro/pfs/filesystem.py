@@ -15,7 +15,7 @@ for the HSM manager.
 
 from __future__ import annotations
 
-import itertools
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.netsim.fabric import Fabric
@@ -27,14 +27,6 @@ from repro.pfs.striping import StripeLayout
 from repro.sim import AllOf, Environment, Event, Resource, SimulationError
 
 __all__ = ["GpfsFileSystem"]
-
-_token_counter = itertools.count(0x517E)
-
-
-def fresh_token() -> int:
-    """A unique content fingerprint for newly written data."""
-    return next(_token_counter)
-
 
 class GpfsFileSystem:
     """A mounted parallel file system instance.
@@ -75,7 +67,9 @@ class GpfsFileSystem:
         #: inode serialize on a lock held for nbytes/shared_write_bw.
         self.shared_write_bw = shared_write_bw
         self._write_locks: dict[int, Resource] = {}
-        self.namespace = Namespace(now=env.now)
+        self.namespace = Namespace(
+            now=env.now, next_ino=partial(env.next_id, "ino")
+        )
         self.pools: dict[str, StoragePool] = {}
         self.policy = PolicyEngine(env, self.namespace)
         #: recall handler: (path, inode, client) -> Event (set by HSM)
@@ -252,9 +246,8 @@ class GpfsFileSystem:
             inode.pool = pool_name
             self._allocate(inode, target, nbytes)
             yield from self._move_data(client, target, inode, nbytes, write=True)
-            inode.touch_data(
-                self.env.now, nbytes, fresh_token() if token is None else token
-            )
+            fresh = self.env.next_id("token", 0x517E) if token is None else token
+            inode.touch_data(self.env.now, nbytes, fresh)
             self.bytes_written += nbytes
             done.succeed(inode)
 

@@ -14,7 +14,6 @@ An inode tracks the attributes the archive's machinery relies on:
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 __all__ = ["FileKind", "HsmState", "Inode"]
@@ -34,13 +33,6 @@ class HsmState(enum.Enum):
     PREMIGRATED = "premigrated"
     #: stub only — data lives on tape, a read triggers a recall
     MIGRATED = "migrated"
-
-
-_inode_counter = itertools.count(1)
-
-
-def _next_ino() -> int:
-    return next(_inode_counter)
 
 
 class Inode:
@@ -69,8 +61,9 @@ class Inode:
         now: float,
         uid: str = "root",
         pool: Optional[str] = None,
+        ino: int = 0,
     ) -> None:
-        self.ino = _next_ino()
+        self.ino = ino
         self.kind = kind
         self.size = 0
         #: storage pool name holding the data (None until first write)

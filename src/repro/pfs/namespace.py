@@ -7,6 +7,7 @@ engine's inode-scan rate, PFTool's readdir costs).
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterator, Optional
 
 from repro.pfs.inode import FileKind, Inode
@@ -29,8 +30,12 @@ def split_path(path: str) -> list[str]:
 class Namespace:
     """A rooted tree of :class:`Inode` s with POSIX-flavoured operations."""
 
-    def __init__(self, now: float = 0.0) -> None:
-        self.root = Inode(FileKind.DIRECTORY, now)
+    def __init__(
+        self, now: float = 0.0, next_ino: Optional[Callable[[], int]] = None
+    ) -> None:
+        #: inode-number allocator; a file system passes its simulation's
+        self._next_ino = next_ino or itertools.count(1).__next__
+        self.root = Inode(FileKind.DIRECTORY, now, ino=self._next_ino())
         self._ino_index: dict[int, tuple[Inode, str]] = {
             self.root.ino: (self.root, "/")
         }
@@ -100,7 +105,7 @@ class Namespace:
         parent, name = self._parent_and_name(path)
         if name in parent.children:
             raise PathError(f"file exists: {path!r}")
-        node = Inode(FileKind.DIRECTORY, now)
+        node = Inode(FileKind.DIRECTORY, now, ino=self._next_ino())
         parent.children[name] = node
         parent.nlink += 1
         self._index(node, path)
@@ -111,7 +116,7 @@ class Namespace:
         parent, name = self._parent_and_name(path)
         if name in parent.children:
             raise PathError(f"file exists: {path!r}")
-        node = Inode(FileKind.FILE, now, uid=uid)
+        node = Inode(FileKind.FILE, now, uid=uid, ino=self._next_ino())
         parent.children[name] = node
         self._index(node, path)
         self.n_files += 1

@@ -8,7 +8,6 @@ node's NIC/HBA in the fabric — ten workers on one FTA node share one
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional
 
 from repro.faults import FailureRecord, classify_failure
@@ -144,9 +143,6 @@ def worker_proc(
             raise RuntimeError(f"worker got unexpected {job!r}")
 
 
-_pack_seq = itertools.count(1)
-
-
 def _copy_failure(job: CopyJob, exc: BaseException) -> CopyResult:
     """A CopyResult describing a CopyJob that died wholesale."""
     if job.chunk_of is not None:
@@ -258,7 +254,7 @@ def _do_packed_copy(env, node, cfg, ctx, job: CopyJob):
     src_fs, dst_fs = ctx.src_fs, ctx.dst_fs
     total = sum(n for _, _, n in job.files)
     dst_dir = job.files[0][1].rsplit("/", 1)[0] or "/"
-    container = f"{dst_dir}/.pftar_{next(_pack_seq):08d}"
+    container = f"{dst_dir}/.pftar_{env.next_id('pftar'):08d}"
     reads = [src_fs.read_range(node, s, 0, n) for s, _, n in job.files]
     yield dst_fs.create_sized(container, total, pool=cfg.storage_pool)
     write = dst_fs.write_range(node, container, 0, total)

@@ -51,7 +51,8 @@ heap keys.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+import itertools
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from repro.trace import channel_for as _trace_channel_for
 
@@ -563,6 +564,7 @@ class Environment:
         "max_instant_batch",
         "trace",
         "hb",
+        "_ids",
     )
 
     def __init__(
@@ -599,6 +601,8 @@ class Environment:
         self.hb = None
         if _default_hb_factory is not None:
             self.hb = _default_hb_factory(self)
+        #: kind -> id sequence; see :meth:`next_id`
+        self._ids: dict[str, Iterator[int]] = {}
 
     # -- clock ---------------------------------------------------------
     @property
@@ -614,6 +618,18 @@ class Environment:
     def schedule_policy(self) -> SchedulePolicy:
         """The tie-break policy in force (FIFO unless overridden)."""
         return self._policy if self._policy is not None else _FIFO_POLICY
+
+    def next_id(self, kind: str, start: int = 1) -> int:
+        """Next number of this simulation's *kind* sequence (first is *start*).
+
+        Ids that feed simulated behaviour (inode numbers pick stripe
+        starts) live here rather than in module globals, so a simulation's
+        results do not depend on what else ran in the process.
+        """
+        ids = self._ids.get(kind)
+        if ids is None:
+            ids = self._ids[kind] = itertools.count(start)
+        return next(ids)
 
     # -- factories ------------------------------------------------------
     def event(self) -> Event:

@@ -13,8 +13,7 @@ Examples
     python -m repro.trace --list
 
 Output is deterministic: repeating a run with the same scenario and
-seed produces byte-identical files (wall-clock metadata is opt-in via
-``--wall``).
+seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,15 +21,13 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-import time
 from typing import Optional, Sequence
 
 from repro.trace import Tracer, tracing
 from repro.trace.export import write_chrome, write_jsonl
 
 
-def run_traced_scenario(name: str, seed: Optional[int] = None,
-                        wall: bool = False) -> Tracer:
+def run_traced_scenario(name: str, seed: Optional[int] = None) -> Tracer:
     """Run perf scenario *name* under a fresh tracer; return the tracer.
 
     Scenarios whose function accepts a ``seed`` parameter get it passed
@@ -50,15 +47,11 @@ def run_traced_scenario(name: str, seed: Optional[int] = None,
         kwargs["seed"] = seed
 
     tracer = Tracer(metadata={"scenario": name, "seed": seed})
-    t0 = time.perf_counter()  # noqa: RA001 - CLI reports wall clock
     with tracing(tracer):
         out = fn(**kwargs)
-    wall_s = time.perf_counter() - t0  # noqa: RA001 - CLI reports wall clock
     tracer.metadata["headline"] = out.headline
     tracer.metadata["sim_end_time"] = out.env.now
     tracer.metadata["events_processed"] = out.env.events_processed
-    if wall:
-        tracer.metadata["wall_s"] = round(wall_s, 4)
     tracer.finalize()
     return tracer
 
@@ -83,11 +76,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default trace_<scenario>_s<seed>)",
     )
     parser.add_argument(
-        "--wall", action="store_true",
-        help="include wall-clock timing in trace metadata "
-        "(breaks byte-identical repeatability)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list traceable scenarios and exit"
     )
     args = parser.parse_args(argv)
@@ -108,8 +96,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--scenario is required (or use --list)")
 
     try:
-        tracer = run_traced_scenario(args.scenario, seed=args.seed,
-                                     wall=args.wall)
+        tracer = run_traced_scenario(args.scenario, seed=args.seed)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

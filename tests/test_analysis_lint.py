@@ -61,6 +61,21 @@ def test_ra001_flags_set_iteration(tmp_path):
     assert all("set" in f.message for f in result.findings)
 
 
+def test_ra001_flags_module_level_counter(tmp_path):
+    result = lint_source(
+        tmp_path,
+        "import itertools\n"
+        "_seq = itertools.count(1)\n"
+        "_ids: object = itertools.count()\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.seq = itertools.count(1)\n",
+        [DeterminismRule()],
+    )
+    assert [f.line for f in result.findings] == [2, 3]
+    assert all("itertools.count" in f.message for f in result.findings)
+
+
 def test_ra001_allowlists_the_stream_factory(tmp_path):
     result = lint_source(
         tmp_path,

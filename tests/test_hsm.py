@@ -5,6 +5,11 @@ exclusivity, migrate-before-recall ordering) via
 :class:`repro.trace.assertions.TraceAssertions`.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.disksim import DiskArray
@@ -171,6 +176,29 @@ def test_naive_routing_thrashes_sticky_does_not():
     assert rw_sticky <= 1
     assert rw_naive > rw_sticky + 5
     assert t_naive > t_sticky
+
+
+def test_sticky_routing_ignores_the_hash_seed():
+    """A volume's recall node must not change with the interpreter's
+    string-hash seed, or sticky-routing results would vary per process."""
+    code = (
+        "from repro.sim import Environment\n"
+        "from tests.test_hsm import build_stack\n"
+        "nodes = tuple(f'fta{i}' for i in range(6))\n"
+        "_, _, hsm = build_stack(Environment(), nodes=nodes, routing='sticky')\n"
+        "print([hsm._route_node(f'VOL{v:03d}') for v in range(32)])\n"
+    )
+    root = pathlib.Path(__file__).resolve().parent.parent
+    routes = {
+        subprocess.run(
+            [sys.executable, "-c", code], cwd=root, check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(root / "src")},
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(routes) == 1
 
 
 def test_recall_failure_propagates_but_daemon_survives():

@@ -8,7 +8,7 @@ checked on every test run, not just the bench tier.
 
 import pytest
 
-from repro.perf import run_suite
+from repro.perf import COUNTERS, run_suite
 from repro.perf.metadata import (
     M_BATCH,
     m1_index_scan,
@@ -49,7 +49,7 @@ def test_m1_scan_is_bounded_and_complete():
     # 2 volumes at this tier -> 2 shards; bound is shards * batch
     assert out.headline["peak_live"] <= 2 * M_BATCH
     assert out.headline["volumes"] == 2.0
-    assert out.extras["scan_files_per_s"] > 0
+    assert out.headline["shard_balance"] >= 1.0
 
 
 def test_m2_cache_split_accounts_every_lookup():
@@ -71,4 +71,5 @@ def test_m3_reconcile_purges_exactly_the_orphans():
 def test_m_scenarios_registered_in_suite():
     report = run_suite(["m3_reconcile"])
     m = report["scenarios"]["m3_reconcile"]
-    assert "extra" in m and m["extra"]["reconcile_files_per_s"] > 0
+    assert set(m) == set(COUNTERS) | {"headline"}
+    assert m["events"] > 0

@@ -186,8 +186,9 @@ class Fabric:
         self._wakeup: Optional[Event] = None
         #: last simulated instant progress was banked (same-instant skip)
         self._last_bank = float("-inf")
-        #: flows whose ``remaining`` hit zero since the last retire sweep
-        self._finished = 0
+        #: flows whose ``remaining`` hit zero since the last retire, in
+        #: ``_flows`` order
+        self._finished: list[Flow] = []
 
     @property
     def rate_recomputes(self) -> int:
@@ -252,6 +253,8 @@ class Fabric:
     def set_route(self, src: str, dst: str, links: Iterable[Link]) -> None:
         """Pin an explicit route for (src, dst)."""
         route = list(links)
+        if len(set(route)) != len(route):
+            raise ValueError("route crosses a link twice")
         for a, b in zip(route, route[1:]):
             if a.dst != b.src:
                 raise ValueError(f"route is not contiguous at {a.name}->{b.name}")
@@ -384,9 +387,15 @@ class Fabric:
                 # Short-circuit: this flow shares no link, its rate is
                 # settled and nobody else's allocation moved.
                 flow._rate = rate
-            if flow._remaining <= EPS_BYTES:
-                self._finished += 1
-            self._reallocate()
+            self._bank_progress()
+            # A flow born (nearly) empty retires after the flows banking
+            # just finished, as it is last in ``_flows``; banking has
+            # already listed it if its rate is infinite.
+            fin = self._finished
+            if flow._remaining <= EPS_BYTES and not (fin and fin[-1] is flow):
+                fin.append(flow)
+            self._retire_finished()
+            self._kick_engine()
 
         # Completion is driven by the engine process; registration needs no
         # process of its own — one recycled timer replaces the per-transfer
@@ -412,24 +421,28 @@ class Fabric:
         self._last_bank = now
         inf = float("inf")
         delivered = 0.0
-        finished = 0
+        finished = self._finished
         for flow in self._flows.values():
+            rate = flow._rate
             dt = now - flow._last_update
-            if flow._rate == inf:
+            if rate == inf:
                 delivered += flow._remaining
                 flow._remaining = 0.0
-                finished += 1
-            elif dt > 0 and flow._rate > 0:
-                moved = min(flow._remaining, flow._rate * dt)
-                flow._remaining -= moved
+                finished.append(flow)
+            elif dt > 0 and rate > 0:
+                rem = flow._remaining
+                moved = rate * dt
+                if moved > rem:
+                    moved = rem
+                rem -= moved
                 delivered += moved
-                if flow._remaining <= EPS_BYTES:
-                    delivered += flow._remaining
-                    flow._remaining = 0.0
-                    finished += 1
+                if rem <= EPS_BYTES:
+                    delivered += rem
+                    rem = 0.0
+                    finished.append(flow)
+                flow._remaining = rem
             flow._last_update = now
         self.bytes_delivered += delivered
-        self._finished += finished
 
     def _reallocate(self) -> None:
         """Bank progress, retire finished flows and poke the engine.
@@ -445,10 +458,11 @@ class Fabric:
         self._kick_engine()
 
     def _retire_finished(self) -> None:
-        if not self._finished:
-            return  # nothing hit zero since the last sweep: skip the scan
-        self._finished = 0
-        for f in [f for f in self._flows.values() if f._remaining <= EPS_BYTES]:
+        finished = self._finished
+        if not finished:
+            return
+        self._finished = []
+        for f in finished:
             del self._flows[f.fid]
             self._alloc.remove_flow(f.fid)
             f.done.succeed(
@@ -457,13 +471,9 @@ class Fabric:
 
     def _flush_rates(self) -> None:
         """Settle any pending re-allocation (affected components only)."""
-        if not self._alloc.dirty:
-            return
         flows = self._flows
         for fid, rate in self._alloc.flush().items():
-            flow = flows.get(fid)
-            if flow is not None:
-                flow._rate = rate
+            flows[fid]._rate = rate
 
     def _kick_engine(self) -> None:
         if self._wakeup is not None and not self._wakeup.triggered:
@@ -489,7 +499,7 @@ class Fabric:
             if f._rate > 0 and f._remaining / f._rate <= dt * (1 + 1e-9):
                 self.bytes_delivered += f._remaining
                 f._remaining = 0.0
-                self._finished += 1
+                self._finished.append(f)
         self._retire_finished()
 
     def _engine(self) -> Iterable[Event]:

@@ -8,13 +8,14 @@ it at that share, removes the consumed capacity, and iterates.
 :class:`MaxMinAllocator` does this incrementally: the fabric tells it
 about every flow arrival, departure and capacity change, and it
 re-solves only the allocation components those events touched.  The
-batch reference solver it is property-tested against lives with the
-tests (``tests/maxmin_oracle.py``).
+batch reference solver it is property-tested against, and the plain
+sorted-closure solver it must match bit for bit, live with the tests
+(``tests/maxmin_oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional
 
 __all__ = ["MaxMinAllocator"]
 
@@ -43,9 +44,17 @@ class MaxMinAllocator:
     solve up to float-summation order; the property tests pin the two
     together across randomized topologies.
 
-    Iteration order is made explicit (sorted links, ascending flow ids)
-    wherever it affects float accumulation, preserving the kernel's
-    bit-identical-replay guarantee across processes.
+    Float order is fixed wherever it can change a result, so replay is
+    bit-identical across processes and hash seeds.  Only two sums are
+    order-sensitive: a link's weight total and its per-round residual
+    subtraction, and both run in ascending flow id.  Link and closure
+    order feed only a ``min`` and set membership, so the closure is not
+    sorted.  Each link caches its ascending-id weight total with its
+    largest flow id: an arrival with a larger id extends the total by
+    one addition (the same left fold); any other arrival or a departure
+    drops the entry, and the next solve re-adds the link from scratch.
+    A cached total is never reduced by subtraction, which would not
+    undo the addition exactly.
     """
 
     __slots__ = (
@@ -53,6 +62,7 @@ class MaxMinAllocator:
         "_flow_links",
         "_weights",
         "_link_flows",
+        "_totals",
         "_rates",
         "_dirty",
         "solves",
@@ -66,6 +76,8 @@ class MaxMinAllocator:
         self._weights: dict[Hashable, float] = {}
         #: link id -> set of flow ids currently crossing it
         self._link_flows: dict[Hashable, set[Hashable]] = {}
+        #: link id -> (ascending-fid weight total, largest fid) of its flows
+        self._totals: dict[Hashable, tuple[float, Hashable]] = {}
         #: fid -> rate
         self._rates: dict[Hashable, float] = {}
         #: links whose flow set / capacity changed since the last flush
@@ -108,20 +120,25 @@ class MaxMinAllocator:
             self._caps[vlink] = float(rate_cap)
             route.append(vlink)
         self._flow_links[fid] = tuple(route)
-        self._weights[fid] = float(weight)
+        self._weights[fid] = weight = float(weight)
 
         if not route:
             self._rates[fid] = _INF
             return _INF
 
+        totals = self._totals
         shared = False
         for lk in route:
             peers = self._link_flows.get(lk)
             if peers is None:
                 self._link_flows[lk] = {fid}
-            else:
-                shared = shared or bool(peers)
-                peers.add(fid)
+                totals[lk] = (weight, fid)  # 0.0 + weight
+                continue
+            shared = True
+            peers.add(fid)
+            tot = totals.pop(lk, None)
+            if tot is not None and fid > tot[1]:
+                totals[lk] = (tot[0] + weight, fid)
         if not shared:
             # Alone on every link: my rate is the tightest capacity and
             # nobody else's bottleneck moved.
@@ -138,6 +155,7 @@ class MaxMinAllocator:
         del self._weights[fid]
         self._rates.pop(fid, None)
         for lk in route:
+            self._totals.pop(lk, None)
             peers = self._link_flows.get(lk)
             if peers is not None:
                 peers.discard(fid)
@@ -151,14 +169,6 @@ class MaxMinAllocator:
 
     # -- solving -------------------------------------------------------
     @property
-    def dirty(self) -> bool:
-        return bool(self._dirty)
-
-    def rate(self, fid: Hashable) -> float:
-        """Current rate of *fid* (flush first for a settled value)."""
-        return self._rates[fid]
-
-    @property
     def rates(self) -> dict[Hashable, float]:
         """fid -> rate mapping (flush first for settled values)."""
         return self._rates
@@ -171,99 +181,79 @@ class MaxMinAllocator:
         """
         if not self._dirty:
             return {}
-        flows, links = self._closure()
+        link_flows = self._link_flows
+        stack = [lk for lk in self._dirty if lk in link_flows]
         self._dirty.clear()
-        if not flows:
+        if not stack:
             return {}
         self.solves += 1
-        updated = self._solve(flows, links)
-        self._rates.update(updated)
-        return updated
-
-    def _closure(self) -> tuple[list[Hashable], list[Hashable]]:
-        """Flows and links transitively connected to any dirty link."""
-        link_flows = self._link_flows
-        flow_links = self._flow_links
-        seen_links: set[Hashable] = set()
-        seen_flows: set[Hashable] = set()
-        stack = [lk for lk in self._dirty if lk in link_flows]
-        seen_links.update(stack)
-        while stack:
-            lk = stack.pop()
-            for fid in link_flows[lk]:
-                if fid in seen_flows:
-                    continue
-                seen_flows.add(fid)
-                for nlk in flow_links[fid]:
-                    if nlk not in seen_links:
-                        seen_links.add(nlk)
-                        stack.append(nlk)
-        # Deterministic processing order regardless of set/hash history:
-        # flow ids are sortable ints in the fabric; link ids are strings
-        # or ("__cap__", fid) tuples, ordered by repr for mixed types.
-        flows = sorted(seen_flows)
-        links = sorted(seen_links, key=repr)
-        return flows, links
-
-    def _solve(
-        self, flows: Sequence[Hashable], links: Sequence[Hashable]
-    ) -> dict[Hashable, float]:
-        """Water-fill one closure with incremental per-round bookkeeping."""
         caps = self._caps
         weights = self._weights
         flow_links = self._flow_links
-        link_flows = self._link_flows
+        totals = self._totals
 
-        remaining: dict[Hashable, float] = {lk: caps[lk] for lk in links}
-        tot_w: dict[Hashable, float] = {}
-        #: exact count of unfrozen flows per link — the float weight total
-        #: is maintained by subtraction and may keep an epsilon residue
-        #: after its last flow froze, which must not masquerade as a
-        #: zero-share bottleneck
-        n_on: dict[Hashable, int] = {}
-        for lk in links:
+        # One pass discovers the closure and builds its solve state:
+        # link -> [residual capacity, unfrozen weight, unfrozen flows].
+        live: dict[Hashable, list] = {}
+        active: set[Hashable] = set()
+        while stack:
+            lk = stack.pop()
+            if lk in live:
+                continue
             users = link_flows[lk]
-            t = 0.0
-            # ascending-fid accumulation: a fixed float summation order,
-            # independent of set/hash history
-            for fid in sorted(users):
-                t += weights[fid]
-            tot_w[lk] = t
-            n_on[lk] = len(users)
+            tot = totals.get(lk)
+            if tot is None:
+                order = sorted(users)
+                t = 0.0
+                for fid in order:
+                    t += weights[fid]
+                totals[lk] = tot = (t, order[-1])
+            live[lk] = [caps[lk], tot[0], len(users)]
+            new = users - active
+            if new:
+                active |= new
+                for fid in new:
+                    stack.extend(flow_links[fid])
 
         rates: dict[Hashable, float] = {}
-        active: set[Hashable] = set(flows)
-        while active:
+        while True:
+            ratio = {}
             share = _INF
-            for lk, t in tot_w.items():
-                if n_on[lk] > 0 and t > 0.0:
-                    s = remaining[lk] / t
+            for lk, st in live.items():
+                if st[1] > 0.0:
+                    s = ratio[lk] = st[0] / st[1]
                     if s < share:
                         share = s
             if share == _INF:
-                for fid in active:
-                    rates[fid] = _INF
+                rates.update(dict.fromkeys(active, _INF))
                 break
             cutoff = share * (1 + 1e-12)
-            saturated = [
-                lk for lk, t in tot_w.items()
-                if n_on[lk] > 0 and t > 0.0 and remaining[lk] / t <= cutoff
-            ]
             frozen: set[Hashable] = set()
-            for lk in saturated:
-                for fid in link_flows[lk]:
-                    if fid in active:
-                        frozen.add(fid)
-            if not frozen:  # numerical corner: freeze everything
-                frozen = set(active)
+            for lk, s in ratio.items():
+                if s <= cutoff:
+                    frozen |= link_flows[lk]
+            frozen &= active
+            if not frozen or len(frozen) == len(active):
+                # Last round (or the numerical corner): everyone left
+                # freezes at this share and no residual is read again.
+                for fid in active:
+                    rates[fid] = share * weights[fid]
+                break
+            # Residuals and weight totals shrink in ascending fid order.
             for fid in sorted(frozen):
                 w = weights[fid]
                 r = share * w
                 rates[fid] = r
                 for lk in flow_links[fid]:
-                    rem = remaining[lk] - r
-                    remaining[lk] = rem if rem > 0.0 else 0.0
-                    tot_w[lk] -= w
-                    n_on[lk] -= 1
+                    st = live[lk]
+                    rem = st[0] - r
+                    st[0] = rem if rem > 0.0 else 0.0
+                    st[1] -= w
+                    st[2] -= 1
+                    if not st[2]:
+                        # by count: the weight total may keep an epsilon
+                        # residue that must not pose as a bottleneck
+                        del live[lk]
             active -= frozen
+        self._rates.update(rates)
         return rates

@@ -401,8 +401,7 @@ class ShardedTapeIndex:
             self.queries += 1
             yield self.env.timeout(self.query_latency + 1e-5 * len(paths))
             out = {p: self.object_for_path(filespace, p) for p in paths}
-            if self.env.trace.enabled:
-                self.publish_metrics()
+            self.publish_metrics()
             done.succeed(out)
 
         self.env.process(_proc(), name="tapedb-locate")
@@ -424,7 +423,13 @@ class ShardedTapeIndex:
         return max(sizes) / (total / len(sizes))
 
     def publish_metrics(self) -> None:
-        """Export cache and shard-balance counters through repro.trace."""
+        """Export cache and shard-balance counters through repro.trace.
+
+        A no-op when tracing is off: the untraced channel's registry is
+        one process-wide sink, and nothing reads it.
+        """
+        if not self.env.trace.enabled:
+            return
         m = self.env.trace.metrics
         m.counter("tapedb.cache_hits").set(self.cache.hits)
         m.counter("tapedb.cache_misses").set(self.cache.misses)

@@ -139,10 +139,12 @@ def test_explicit_route_pinning():
 def test_bad_explicit_route_rejected():
     env = Environment()
     fab = Fabric(env)
-    l1, _ = fab.add_link("a", "b", capacity=1.0)
+    l1, r1 = fab.add_link("a", "b", capacity=1.0)
     l2, _ = fab.add_link("c", "d", capacity=1.0)
     with pytest.raises(ValueError):
         fab.set_route("a", "d", [l1, l2])
+    with pytest.raises(ValueError):  # contiguous, but crosses a->b twice
+        fab.set_route("a", "b", [l1, r1, l1])
 
 
 def test_bytes_delivered_accounting():
@@ -176,6 +178,45 @@ def test_many_concurrent_flows_conserve_capacity():
     assert total_bytes / makespan <= 100.0 * (1 + 1e-9)
     # Work conservation: the link is saturated the whole time.
     assert total_bytes / makespan == pytest.approx(100.0, rel=1e-6)
+
+
+def test_same_instant_completions_fire_in_registration_order():
+    """Flows registered out of flow-id order (the later transfers take
+    shorter routes) and finishing at one instant complete in the order
+    they registered, not in flow-id order."""
+    env = Environment()
+    fab = Fabric(env)
+    order = []
+    for i, latency in enumerate([1.5, 1.0, 0.5, 0.0]):
+        fab.add_link("s", f"n{i}", capacity=100.0, latency=latency)
+        # every flow runs alone at 100 B/s and ends at t = 5
+        done = fab.transfer("s", f"n{i}", 100.0 * (5.0 - latency), tag=i)
+        done.callbacks.append(lambda ev: order.append((ev.value.tag, ev.value.end)))
+    # a shared link keeps a solve in play at the same instant
+    fab.add_link("s", "m", capacity=100.0)
+    fab.transfer("s", "m", 250.0)
+    fab.transfer("s", "m", 250.0)
+    env.run()
+    assert order == [(3, 5.0), (2, 5.0), (1, 5.0), (0, 5.0)]
+
+
+def test_infinite_rate_and_tiny_flows_retire_once():
+    """A flow on an infinite-capacity link finishes in the bank sweep of
+    its own registration, and a flow born below EPS_BYTES at once; each
+    completes exactly once, in registration order."""
+    env = Environment()
+    fab = Fabric(env)
+    fab.add_link("a", "b", capacity=float("inf"), latency=0.5)
+    fab.add_link("a", "c", capacity=100.0, latency=0.5)
+    fab.add_link("a", "d", capacity=100.0)
+    order = []
+    for dst, nbytes, tag in [("d", 300.0, "d"), ("b", 500.0, "inf"), ("c", 100.0, "c"),
+                             ("c", 1e-7, "tiny"), ("b", 7.0, "inf2")]:
+        done = fab.transfer("a", dst, nbytes, tag=tag)
+        done.callbacks.append(lambda ev: order.append((ev.value.tag, ev.value.end)))
+    env.run()
+    assert order == [("inf", 0.5), ("tiny", 0.5), ("inf2", 0.5), ("c", 1.5), ("d", 3.0)]
+    assert fab.bytes_delivered == 907.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import MaxMinAllocator
-from tests.maxmin_oracle import max_min_fair_rates
+from tests.maxmin_oracle import SortedClosureAllocator, max_min_fair_rates
 
 
 def test_single_flow_gets_link_capacity():
@@ -270,3 +270,73 @@ def test_incremental_equals_batch_over_random_histories(script, flush_every_op):
         if flush_every_op:
             _assert_matches_oracle(alloc)
     _assert_matches_oracle(alloc)
+
+
+# ---------------------------------------------------------------------------
+# incremental allocator == the sorted-closure reference, bit for bit
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _exact_histories(draw):
+    """Capacities plus an add/remove/recap/flush script whose flow ids
+    arrive out of order, with unit and fractional weights and rate caps."""
+    n_links = draw(st.integers(1, 5))
+    links = {f"l{i}": draw(st.floats(1.0, 1e4)) for i in range(n_links)}
+    ops, live = [], set()
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["add", "add", "add", "remove", "recap", "flush"]))
+        if kind == "add":
+            fid = draw(st.integers(0, 40))
+            if fid in live:
+                continue
+            route = draw(st.lists(st.sampled_from(sorted(links)), max_size=n_links, unique=True))
+            weight = draw(st.one_of(st.just(1.0), st.floats(0.1, 8.0)))
+            cap = draw(st.one_of(st.just(float("inf")), st.floats(0.5, 5e3)))
+            ops.append(("add", fid, route, weight, cap))
+            live.add(fid)
+        elif kind == "remove" and live:
+            fid = draw(st.sampled_from(sorted(live)))
+            live.discard(fid)
+            ops.append(("remove", fid))
+        elif kind == "recap":
+            ops.append(("recap", draw(st.sampled_from(sorted(links))), draw(st.floats(1.0, 1e4))))
+        elif kind == "flush":
+            ops.append(("flush",))
+    return links, ops + [("flush",)]
+
+
+def _assert_totals_fresh(alloc: MaxMinAllocator) -> None:
+    """Every cached link total is the ascending-fid sum of its weights."""
+    for lk, (total, top) in alloc._totals.items():
+        users = sorted(alloc._link_flows[lk])
+        fresh = 0.0
+        for fid in users:
+            fresh += alloc._weights[fid]
+        assert total == fresh and top == users[-1], lk
+
+
+@given(_exact_histories())
+@settings(max_examples=300, deadline=None)
+def test_rates_bit_identical_to_sorted_closure_reference(script):
+    links, ops = script
+    alloc, ref = MaxMinAllocator(), SortedClosureAllocator()
+    for lk, cap in links.items():
+        alloc.set_capacity(lk, cap)
+        ref.set_capacity(lk, cap)
+    for op in ops:
+        if op[0] == "add":
+            _, fid, route, weight, cap = op
+            assert alloc.add_flow(fid, route, weight, cap) == ref.add_flow(
+                fid, route, weight, cap
+            )
+        elif op[0] == "remove":
+            alloc.remove_flow(op[1])
+            ref.remove_flow(op[1])
+        elif op[0] == "recap":
+            alloc.set_capacity(op[1], op[2])
+            ref.set_capacity(op[1], op[2])
+        else:
+            assert alloc.flush() == ref.flush()
+            assert alloc.rates == ref.rates
+            assert alloc.solves == ref.solves
+        _assert_totals_fresh(alloc)

@@ -1,9 +1,11 @@
-"""Verdicts of the same-machine A/B script (``tools/perf_ab.py``).
+"""Verdicts and options of the same-machine A/B script (``tools/perf_ab.py``).
 
-Only the verdict rule is tested here; nothing spawns perfbench.
+Only the verdict rule and the command line are tested here; nothing
+spawns perfbench.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -13,6 +15,7 @@ _spec = importlib.util.spec_from_file_location("perf_ab", _PATH)
 perf_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perf_ab)
 
+SPEC = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
 BOUND = 0.25
 PARENT = [10.0, 10.2, 10.4, 10.6, 10.8]
 
@@ -53,3 +56,21 @@ def test_every_change_run_better_is_ok_despite_spread(better):
         parent, change = change, parent
     assert perf_ab.spread(parent) > BOUND
     assert perf_ab.verdict(parent, change, better, BOUND) == "ok"
+
+
+def test_default_workloads_are_every_benchmark_workload():
+    args = perf_ab.parse_args(["HEAD~1"], SPEC)
+    assert args.rev == "HEAD~1"
+    assert args.workload == [w["name"] for w in SPEC["workloads"]]
+
+
+def test_workload_option_repeats_and_dedupes():
+    args = perf_ab.parse_args(
+        ["HEAD~1", "--workload", "archive_replay", "--workload", "tape_recall",
+         "--workload", "archive_replay"], SPEC)
+    assert args.workload == ["archive_replay", "tape_recall"]
+
+
+def test_unknown_workload_is_rejected():
+    with pytest.raises(SystemExit):
+        perf_ab.parse_args(["HEAD~1", "--workload", "no_such_workload"], SPEC)

@@ -9,6 +9,7 @@ checked on every test run, not just the bench tier.
 import pytest
 
 from repro.perf import COUNTERS, run_suite
+from repro.trace import NULL_CHANNEL, tracing
 from repro.perf.metadata import (
     M_BATCH,
     m1_index_scan,
@@ -73,3 +74,17 @@ def test_m_scenarios_registered_in_suite():
     m = report["scenarios"]["m3_reconcile"]
     assert set(m) == set(COUNTERS) | {"headline"}
     assert m["events"] > 0
+
+
+def test_untraced_scenarios_leave_the_shared_null_registry_empty():
+    """Untraced runs share one process-wide null channel; publishing
+    index metrics into it would carry state from run to run."""
+    for fn in (m1_index_scan, m2_recall_sort, m3_reconcile):
+        fn(pop=POP)
+    assert len(NULL_CHANNEL.metrics) == 0
+
+
+def test_traced_scenario_publishes_index_metrics():
+    with tracing() as tracer:
+        m2_recall_sort(pop=POP)
+    assert tracer.metrics.snapshot()["tapedb.queries"] == 64

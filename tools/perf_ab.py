@@ -2,14 +2,15 @@
 
 Usage, from anywhere inside the repository::
 
-    python tools/perf_ab.py REV
+    python tools/perf_ab.py REV [--workload NAME]...
 
 REV is checked out into a temporary ``git worktree``.  This checkout's
-``perfbench/run.py --trace 0`` then runs every workload in
-``BENCHMARK.json`` for its ``run_seconds``, once from this checkout's
-root (the change) and once from the worktree (the parent), ``PAIRS``
-times, alternating which side goes first.  Both sides run the same
-benchmark code, so only the code under ``src/`` differs.
+``perfbench/run.py --trace 0`` then runs each workload for the
+``run_seconds`` in ``BENCHMARK.json``, once from this checkout's root
+(the change) and once from the worktree (the parent), ``PAIRS`` times,
+alternating which side goes first.  Both sides run the same benchmark
+code, so only the code under ``src/`` differs.  The workloads are every
+one in ``BENCHMARK.json``, or those named by ``--workload`` (repeatable).
 
 For each workload and end-to-end metric it prints the medians and
 quartiles of both sides and a verdict:
@@ -91,15 +92,26 @@ def _fmt(xs: list[float]) -> str:
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def main(argv=None) -> int:
+def parse_args(argv, spec: dict) -> argparse.Namespace:
+    """Command line; ``workload`` defaults to every workload in *spec*."""
+    known = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     ap.add_argument("rev", metavar="REV", help="parent revision to compare with")
+    ap.add_argument("--workload", action="append", choices=known, metavar="NAME",
+                    help="workload to run (repeatable; default: all of "
+                         "BENCHMARK.json)")
     args = ap.parse_args(argv)
+    args.workload = list(dict.fromkeys(args.workload or known))
+    return args
+
+
+def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
+    args = parse_args(argv, spec)
+    workloads = args.workload
     seconds = spec["run_seconds"]
     sha = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
 

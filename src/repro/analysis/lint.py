@@ -25,7 +25,6 @@ from repro.analysis.rules_queues import (
 )
 from repro.analysis.rules_races import (
     SharedMutableStateRule,
-    UnbatchedTimerLoopRule,
     UnboundedServiceWaitRule,
     UnorderedZeroDelayRule,
 )
@@ -46,7 +45,6 @@ def default_rules() -> list[Rule]:
         SharedMutableStateRule(),
         UnboundedServiceWaitRule(),
         UnorderedZeroDelayRule(),
-        UnbatchedTimerLoopRule(),
         SilentFaultSwallowRule(),
     ]
 
@@ -106,7 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis.lint",
         description="Static checks for repro's determinism, protocol, "
         "queue-discipline, crash-journal, schedule-safety and "
-        "fault-visibility invariants (RA001-RA012).",
+        "fault-visibility invariants (RA001-RA010, RA012).",
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
     parser.add_argument(

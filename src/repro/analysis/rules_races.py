@@ -1,4 +1,4 @@
-"""Static schedule-safety rules (RA008-RA011).
+"""Static schedule-safety rules (RA008-RA010).
 
 The dynamic sanitizer (:mod:`repro.analysis.races`) proves a *run* is
 schedule-independent; these rules catch the source patterns that make
@@ -21,12 +21,6 @@ runs schedule-dependent in the first place:
   relative order is decided by the layer-3 tie-break, which programs
   may not rely on (see the ordering contract in ``repro.sim.kernel``).
   Pass ``priority=`` to pin the order, or schedule with a real delay.
-* **RA011** — per-event ``call_later`` inside a loop whose delay is
-  loop-invariant: every iteration schedules a separate timer for the
-  *same* instant, paying one heap push + one dispatch per call where
-  ``Environment.call_later_batch`` would pay one for the whole cohort.
-  Loops that ``yield`` between iterations (simulated time may advance)
-  or vary the delay per iteration are exempt.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from repro.analysis.core import Finding, ModuleInfo, Rule, dotted_name
 
 __all__ = [
     "SharedMutableStateRule",
-    "UnbatchedTimerLoopRule",
     "UnboundedServiceWaitRule",
     "UnorderedZeroDelayRule",
 ]
@@ -301,88 +294,3 @@ class UnorderedZeroDelayRule(Rule):
                 line=node.lineno,
                 col=node.col_offset,
             )
-
-
-def _iter_no_nested_funcs(nodes) -> Iterator[ast.AST]:
-    """Walk *nodes* skipping nested function/lambda bodies (their code
-    does not run once per loop iteration)."""
-    stack = list(nodes)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _names_in(node: Optional[ast.AST]) -> set[str]:
-    if node is None:
-        return set()
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-class UnbatchedTimerLoopRule(Rule):
-    """RA011: per-event ``call_later`` in a loop the batch API could serve."""
-
-    code = "RA011"
-    name = "unbatched-timer-loop"
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        seen: set[tuple[int, int]] = set()
-        for loop in ast.walk(module.tree):
-            if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
-                continue
-            body = list(_iter_no_nested_funcs(loop.body))
-            # A yield/await between iterations can advance simulated time,
-            # so the timers are not a same-instant cohort.
-            if any(isinstance(n, (ast.Yield, ast.YieldFrom, ast.Await))
-                   for n in body):
-                continue
-            # Names (re)bound per iteration: the loop target plus anything
-            # stored in the body.  A delay built from them legitimately
-            # varies per event and cannot batch.
-            varying: set[str] = set()
-            if isinstance(loop, (ast.For, ast.AsyncFor)):
-                varying |= _names_in(loop.target)
-            for n in body:
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                    varying.add(n.id)
-            for n in body:
-                if not isinstance(n, ast.Call):
-                    continue
-                func = n.func
-                is_call_later = (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "call_later"
-                ) or (isinstance(func, ast.Name) and func.id == "call_later")
-                if not is_call_later:
-                    continue
-                delay = n.args[0] if n.args else next(
-                    (kw.value for kw in n.keywords if kw.arg == "delay"), None
-                )
-                if delay is None or _names_in(delay) & varying:
-                    continue
-                prio = next(
-                    (kw.value for kw in n.keywords if kw.arg == "priority"),
-                    None,
-                )
-                if _names_in(prio) & varying:
-                    continue  # per-event priorities cannot share a batch
-                key = (n.lineno, n.col_offset)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield Finding(
-                    code=self.code,
-                    message=(
-                        "call_later with a loop-invariant delay schedules "
-                        "one timer per iteration for the same instant; "
-                        "collect the callbacks and schedule once with "
-                        "call_later_batch(delay, fns) so the cohort pays "
-                        "one heap push and one dispatch"
-                    ),
-                    path=module.relpath,
-                    line=n.lineno,
-                    col=n.col_offset,
-                )

@@ -41,6 +41,7 @@ from repro.pftool import (
     pfdu,
     pfls,
 )
+from repro.recovery.agent import RecoveryAgent
 from repro.recovery.journal import JobJournal
 from repro.sim import Environment, Event
 from repro.tapedb import ShardedTapeIndex, TapeIndexDB, TsmDbExporter
@@ -214,6 +215,11 @@ class ParallelArchiveSystem:
             journal=self.journal, trashcan=self.trashcan,
         )
         self.migrator = BalancedMigrator(env, self.hsm)
+        self.recovery_agent = RecoveryAgent(
+            env, self.journal, self.archive_fs, self.tsm,
+            tapedb=self.tapedb, trashcan=self.trashcan,
+            filespace=p.filespace,
+        )
         self.loadmanager = LoadManager(env, list(self.topology.fta_nodes))
         self.jail = CommandPolicy()
         #: armed by :meth:`inject_faults`; jobs consult it for message
@@ -316,17 +322,7 @@ class ParallelArchiveSystem:
         """Post-crash recovery over the site journal: replay dangling
         two-phase delete intents and adopt orphaned migration leases.
         Fires with a :class:`~repro.recovery.agent.RecoveryReport`."""
-        from repro.recovery.agent import RecoveryAgent
-
-        return RecoveryAgent(
-            self.env,
-            self.journal,
-            self.archive_fs,
-            self.tsm,
-            tapedb=self.tapedb,
-            trashcan=self.trashcan,
-            filespace=self.params.filespace,
-        ).recover()
+        return self.recovery_agent.recover()
 
     def list_archive(self, path: str, cfg: Optional[PftoolConfig] = None) -> PftoolJob:
         """``pfls`` over the archive namespace."""

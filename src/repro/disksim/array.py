@@ -91,6 +91,7 @@ class DiskArray:
         self.writes = 0
         self.bytes_read = 0.0
         self.bytes_written = 0.0
+        env.metrics.add("disksim.ops", lambda: self.reads + self.writes)
 
     # -- space accounting ------------------------------------------------
     @property

@@ -105,6 +105,8 @@ class HsmManager:
         self.bytes_migrated = 0.0
         self.files_recalled = 0
         self.bytes_recalled = 0.0
+        env.metrics.add("hsm.files_migrated", lambda: self.files_migrated)
+        env.metrics.add("hsm.files_recalled", lambda: self.files_recalled)
         #: durable lease log (see class docstring)
         self.journal = journal if journal is not None else JobJournal(env)
         #: in-flight migration processes, for crash injection
@@ -203,7 +205,6 @@ class HsmManager:
             self.journal.migration_done(lease_id)
             if span is not None:
                 span.end()
-                tr.metrics.counter("hsm.files_migrated").inc(len(receipts))
             done.succeed(receipts)
 
         proc = self.env.process(_proc(), name=f"hsm-migrate-{node}")
@@ -348,7 +349,6 @@ class HsmManager:
                 self.bytes_recalled += req.nbytes
                 if span is not None:
                     span.end()
-                    tr.metrics.counter("hsm.files_recalled").inc()
                 req.done.succeed(inode)
             except Exception as exc:  # surface to the waiter, keep daemon up
                 if not req.done.triggered:

@@ -129,11 +129,8 @@ class SimComm:
         del self._inflight[key]
         # One settle sweep for the whole same-instant batch; HB edges are
         # still recorded per message inside put_batch.  Mailboxes are
-        # unbounded so the batch deposit cannot overflow, but keep the
-        # per-message fallback for subclasses that bound their mailboxes.
-        if not mailbox.put_batch(batch):
-            for msg in batch:
-                mailbox.put_nowait(msg)
+        # unbounded, so the deposit cannot overflow.
+        mailbox.put_batch(batch)
 
     def recv(
         self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG

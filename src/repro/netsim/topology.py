@@ -88,6 +88,9 @@ def build_archive_site(
     if n_fta < 1 or n_disk_servers < 1 or n_tape_drives < 1:
         raise ValueError("node counts must be at least 1")
     fab = Fabric(env, name="archive-site")
+    # the site fabric only: DiskArrays' private fabrics are not site traffic
+    env.metrics.add("netsim.rate_recomputes", lambda: fab.rate_recomputes)
+    env.metrics.add("netsim.bytes_delivered", lambda: fab.bytes_delivered)
 
     scratch = fab.add_node("scratch")
     lan = fab.add_node("lan-switch")

@@ -164,7 +164,6 @@ def m1_index_scan(pop: int = 0) -> ScenarioOutcome:
             f"scan yielded {stats['count']} of {len(db)} rows"
         )
     sizes = db.shard_sizes()
-    db.publish_metrics()
     return ScenarioOutcome(
         env=env,
         headline={
@@ -213,7 +212,6 @@ def m2_recall_sort(pop: int = 0) -> ScenarioOutcome:
     stats = _stream_all(env, db, gauge)
     env.run()
     _check_bounded(gauge, pop)
-    db.publish_metrics()
     return ScenarioOutcome(
         env=env,
         headline={
@@ -274,7 +272,6 @@ def m3_reconcile(pop: int = 0) -> ScenarioOutcome:
         raise SimulationError(
             f"reconcile scanned {result['scanned']} of {pop} rows"
         )
-    db.publish_metrics()
     return ScenarioOutcome(
         env=env,
         headline={

@@ -88,6 +88,8 @@ class GpfsFileSystem:
         self.bytes_read = 0.0
         self.recalls_triggered = 0
         self.faults_injected = 0
+        env.metrics.add("pfs.bytes_written", lambda: self.bytes_written)
+        env.metrics.add("pfs.bytes_read", lambda: self.bytes_read)
 
     # ------------------------------------------------------------------
     # pools

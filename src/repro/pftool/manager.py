@@ -364,7 +364,6 @@ class Manager:
         self.out_stat -= 1
         for spec in res.specs:
             self.stats.files_seen += 1
-            self.stats.observe_file_size(spec.size)
             if self.op == "list":
                 state = "migrated" if spec.migrated else "resident"
                 self._list_line(f"{spec.path}\t{spec.size}\t{state}")

@@ -3,20 +3,11 @@
 The Manager owns a single :class:`JobStats`; the WatchDog samples it on
 an interval, keeping the windowed counters the paper describes (files /
 bytes moved in the last T minutes) and detecting stalls.
-
-Since the :mod:`repro.trace` refactor the numeric fields are backed by a
-:class:`~repro.trace.metrics.MetricsRegistry`: ``stats.files_copied``
-is a property over the ``pftool.files_copied`` counter, so the figure
-benchmarks and the end-of-job report read the same registry a traced
-run exports.  The attribute interface is unchanged — ``stats.field``
-reads and ``stats.field += n`` writes work exactly as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.trace.metrics import MetricsRegistry
 
 __all__ = ["JobStats", "WatchdogSample"]
 
@@ -32,49 +23,31 @@ class WatchdogSample:
     bytes_window: int
 
 
-#: registry-backed integer counters, in report order
-_COUNTERS = (
-    "dirs_walked",
-    "files_seen",
-    "files_copied",
-    "files_skipped",  # restart: destination already current
-    "files_failed",
-    "files_compared",
-    "compare_mismatches",
-    "bytes_copied",
-    "bytes_skipped",
-    "tape_files_restored",
-    "tape_bytes_restored",
-    "tape_volumes_touched",
-    "chunks_copied",
-    "fuse_files",
-    # restart-from-journal accounting: chunk ranges a resumed job skipped
-    # because the JobJournal recorded them complete before the crash
-    "journal_chunks_skipped",
-    "journal_bytes_skipped",
-)
-
-#: registry-backed time gauges
-_GAUGES = ("started", "finished")
-
-
 class JobStats:
-    """Counters for one PFTool job (the §4.1.1 'final statistics report').
+    """Counters for one PFTool job (the §4.1.1 'final statistics report')."""
 
-    Every numeric field lives in :attr:`registry` under the
-    ``pftool.<field>`` name; non-numeric state (op, abort reason,
-    per-class dicts, watchdog history) stays on the instance.
-    """
-
-    def __init__(self, op: str = "copy",
-                 registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        for name in _COUNTERS:
-            self.registry.counter(f"pftool.{name}")
-        for name in _GAUGES:
-            self.registry.gauge(f"pftool.{name}")
-        #: observed sizes of files seen by the stat phase
-        self.registry.histogram("pftool.file_size_bytes")
+    def __init__(self, op: str = "copy") -> None:
+        self.started = 0.0
+        self.finished = 0.0
+        self.dirs_walked = 0
+        self.files_seen = 0
+        self.files_copied = 0
+        self.files_skipped = 0  # restart: destination already current
+        self.files_failed = 0
+        self.files_compared = 0
+        self.compare_mismatches = 0
+        self.bytes_copied = 0
+        self.bytes_skipped = 0
+        self.tape_files_restored = 0
+        self.tape_bytes_restored = 0
+        self.tape_volumes_touched = 0
+        self.chunks_copied = 0
+        self.fuse_files = 0
+        # restart-from-journal accounting: chunk ranges a resumed job
+        # skipped because the JobJournal recorded them complete before
+        # the crash
+        self.journal_chunks_skipped = 0
+        self.journal_bytes_skipped = 0
         self.op = op
         self.aborted = False
         self.abort_reason = ""
@@ -87,12 +60,6 @@ class JobStats:
         self.invariant_violations: dict[str, int] = {}
         self.watchdog_history: list[WatchdogSample] = []
         self.output_lines: list[str] = []
-
-    # counter/gauge properties are attached after the class body, one per
-    # name in _COUNTERS/_GAUGES
-
-    def observe_file_size(self, nbytes: int) -> None:
-        self.registry.histogram("pftool.file_size_bytes").observe(nbytes)
 
     @property
     def duration(self) -> float:
@@ -185,34 +152,3 @@ class JobStats:
             f"<JobStats {self.op} files={self.files_copied} "
             f"bytes={self.bytes_copied} failed={self.files_failed}>"
         )
-
-
-def _counter_property(name: str) -> property:
-    key = f"pftool.{name}"
-
-    def fget(self: JobStats):
-        return self.registry.counter(key).value
-
-    def fset(self: JobStats, value) -> None:
-        self.registry.counter(key).set(value)
-
-    return property(fget, fset, doc=f"registry counter {key}")
-
-
-def _gauge_property(name: str) -> property:
-    key = f"pftool.{name}"
-
-    def fget(self: JobStats) -> float:
-        return self.registry.gauge(key).value
-
-    def fset(self: JobStats, value: float) -> None:
-        self.registry.gauge(key).set(value)
-
-    return property(fget, fset, doc=f"registry gauge {key}")
-
-
-for _name in _COUNTERS:
-    setattr(JobStats, _name, _counter_property(_name))
-for _name in _GAUGES:
-    setattr(JobStats, _name, _gauge_property(_name))
-del _name

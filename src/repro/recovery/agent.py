@@ -68,6 +68,12 @@ class RecoveryAgent:
         self.trashcan = trashcan
         self.filespace = filespace
         self.reconciler = ReconcileAgent(env, fs, tsm, filespace=filespace)
+        #: totals over every pass of this agent
+        self.intents_replayed = 0
+        self.objects_adopted = 0
+        env.metrics.add("recovery.intents_replayed",
+                        lambda: self.intents_replayed)
+        env.metrics.add("recovery.objects_adopted", lambda: self.objects_adopted)
 
     def recover(self) -> Event:
         """One recovery pass; fires with a :class:`RecoveryReport`."""
@@ -130,14 +136,10 @@ class RecoveryAgent:
                 self.journal.migration_done(lease.lease_id)
 
             report.duration = self.env.now - t0
+            self.intents_replayed += report.delete_intents_found
+            self.objects_adopted += report.objects_adopted
             if span is not None:
                 span.end()
-                tr.metrics.counter("recovery.intents_replayed").inc(
-                    report.delete_intents_found
-                )
-                tr.metrics.counter("recovery.objects_adopted").inc(
-                    report.objects_adopted
-                )
             done.succeed(report)
 
         self.env.process(_proc(), name="recovery-agent")

@@ -17,7 +17,7 @@ stager is this layer at CERN scale):
   so cancel, preempt and crash all leave a journal a resume converges
   from (the chaos harness's oracle argument carries over verbatim);
 * every scheduling decision emits ``repro.trace`` events and updates
-  the service's :class:`~repro.trace.metrics.MetricsRegistry`.
+  the service's job counts (:meth:`ArchiveService.summary`).
 
 The service is purely event-driven on the simulated clock: submissions
 and job completions pump the dispatch loop; there is no polling process,
@@ -49,7 +49,6 @@ from repro.scheduler.queues import (
     TenantQueue,
 )
 from repro.sim import Event, RandomStreams, SimulationError
-from repro.trace.metrics import MetricsRegistry
 
 __all__ = ["ArchiveService", "SchedulerConfig", "Tenant"]
 
@@ -79,13 +78,10 @@ class ArchiveService:
         self.system = system
         self.env = system.env
         self.config = config or SchedulerConfig()
-        self.metrics = MetricsRegistry()
-        for name in ("submitted", "dispatched", "completed", "cancelled",
-                     "preempted", "resumed"):
-            self.metrics.counter(f"sched.{name}")
-        self.metrics.gauge("sched.queue_depth")
-        self.metrics.gauge("sched.active")
-        self.metrics.histogram("sched.wait_s")
+        #: jobs per lifecycle step, in summary() order
+        self._counts = dict.fromkeys(
+            ("submitted", "dispatched", COMPLETED, CANCELLED, PREEMPTED,
+             "resumed"), 0)
 
         self._tenants: dict[str, Tenant] = {}
         self._queues: dict[str, TenantQueue] = {}
@@ -185,7 +181,7 @@ class ArchiveService:
             journal=old.journal, resume_of=old.job_id,
         )
         self._admission.validate(ticket)
-        self.metrics.counter("sched.resumed").inc()
+        self._counts["resumed"] += 1
         return self._enqueue(ticket)
 
     def _enqueue(self, ticket: JobTicket) -> JobTicket:
@@ -194,7 +190,7 @@ class ArchiveService:
         if len(queue) == 0:
             self._fair.on_backlogged(ticket.tenant)
         queue.push(ticket)
-        self.metrics.counter("sched.submitted").inc()
+        self._counts["submitted"] += 1
         self._note_depth()
         tr = self.env.trace
         if tr.enabled:
@@ -491,8 +487,7 @@ class ArchiveService:
         deviation = self._fair.deviation(self._demanding())
         self.deviation_samples.append(deviation)
 
-        self.metrics.counter("sched.dispatched").inc()
-        self.metrics.histogram("sched.wait_s").observe(ticket.wait_time)
+        self._counts["dispatched"] += 1
         self._note_depth()
         tr = self.env.trace
         if tr.enabled:
@@ -535,7 +530,7 @@ class ArchiveService:
     def _settle(self, ticket: JobTicket, state: str) -> None:
         ticket.state = state
         ticket.finished = self.env.now
-        self.metrics.counter(f"sched.{state}").inc()
+        self._counts[state] += 1
         self._note_depth()
         tr = self.env.trace
         if tr.enabled:
@@ -564,8 +559,6 @@ class ArchiveService:
 
     def _note_depth(self) -> None:
         depth, active = self.queue_depth, self.active_jobs
-        self.metrics.gauge("sched.queue_depth").set(depth)
-        self.metrics.gauge("sched.active").set(active)
         if depth + active > self.peak_in_flight:
             self.peak_in_flight = depth + active
         tr = self.env.trace
@@ -591,13 +584,8 @@ class ArchiveService:
 
     def summary(self) -> dict:
         """Deterministic account of everything the service has done."""
-        counts = {
-            name: self.metrics.counter(f"sched.{name}").snapshot()
-            for name in ("submitted", "dispatched", "completed",
-                         "cancelled", "preempted", "resumed")
-        }
         return {
-            **counts,
+            **self._counts,
             "queued": self.queue_depth,
             "active": self.active_jobs,
             "peak_in_flight": self.peak_in_flight,

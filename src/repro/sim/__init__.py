@@ -25,6 +25,8 @@ Public surface
 :class:`StoreGet`
     Pending store retrieval; supports eager ``cancel()`` for receives
     that race a timer and lose.
+:class:`MetricsRegistry`
+    ``env.metrics``: named views over the counters components keep.
 """
 
 from repro.sim.kernel import (
@@ -51,6 +53,7 @@ from repro.sim.resources import (
     Store,
     StoreGet,
 )
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -61,6 +64,7 @@ __all__ = [
     "Event",
     "FilterStore",
     "Interrupt",
+    "MetricsRegistry",
     "PriorityResource",
     "PriorityStore",
     "Process",

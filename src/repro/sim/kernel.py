@@ -55,6 +55,7 @@ import itertools
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from repro.trace import channel_for as _trace_channel_for
+from repro.sim.metrics import MetricsRegistry
 
 __all__ = [
     "AllOf",
@@ -563,6 +564,7 @@ class Environment:
         "instants",
         "max_instant_batch",
         "trace",
+        "metrics",
         "hb",
         "_ids",
     )
@@ -591,6 +593,9 @@ class Environment:
         self.instants = 0
         #: largest same-instant cohort drained in one pass by :meth:`run`
         self.max_instant_batch = 0
+        #: always-on registry of named counter views (layer.noun_unit)
+        self.metrics = MetricsRegistry()
+        self.metrics.add("sim.events", lambda: self.events_processed)
         #: trace channel — NULL_CHANNEL (enabled=False) unless a
         #: :class:`repro.trace.Tracer` is installed when this env is built
         self.trace = _trace_channel_for(self)
@@ -671,37 +676,6 @@ class Environment:
         ev = pool.pop() if pool else _ScheduledCall(self)
         ev._fn = fn
         self._schedule(ev, priority, delay)
-
-    def call_later_batch(
-        self,
-        delay: float,
-        fns: Iterable[Callable[[], None]],
-        priority: int = NORMAL,
-    ) -> None:
-        """Schedule every function in *fns* to run after *delay*, as one event.
-
-        Batched same-instant variant of :meth:`call_later`: the whole cohort
-        rides a single pooled :class:`_ScheduledCall` (one queue push, one
-        pop, one generator-resume boundary) instead of one event per
-        function.  The functions run back-to-back in iteration order — the
-        same order ``call_later`` would have delivered them under FIFO
-        tie-breaking, since consecutive pushes at equal ``(time, priority)``
-        pop in sequence order.  Use this when a loop would otherwise issue
-        per-item ``call_later`` calls with identical delay and priority
-        (lint rule RA011 flags that shape).
-        """
-        fns = fns if isinstance(fns, list) else list(fns)
-        if not fns:
-            return
-        if len(fns) == 1:
-            self.call_later(delay, fns[0], priority)
-            return
-
-        def _run_batch(fns: list = fns) -> None:
-            for fn in fns:
-                fn()
-
-        self.call_later(delay, _run_batch, priority)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

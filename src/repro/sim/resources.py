@@ -315,24 +315,27 @@ class Store:
         self._settle()
         return True
 
-    def put_batch(self, items: list) -> bool:
-        """Deposit every item in *items* if capacity allows, in one pass.
+    def put_batch(self, items: list) -> None:
+        """Deposit every item in *items* in one pass, without waiting.
 
         Batched :meth:`put_nowait`: per-item HB edges are still recorded
         (the sanitizer sees each deposit), but the settle sweep — the
         expensive part when getters are queued — runs once for the whole
-        batch.  Returns False (depositing nothing) when the batch would
-        overflow; the caller must then fall back to per-item :meth:`put`.
+        batch.  A batch that would overflow the capacity raises
+        :class:`SimulationError` and deposits nothing: the caller cannot
+        wait, so dropping items silently would lose them.
         """
         if len(self.items) + len(items) > self.capacity:
-            return False
+            raise SimulationError(
+                f"put_batch of {len(items)} items overflows a store holding "
+                f"{len(self.items)} of {self.capacity}"
+            )
         hb = self.env.hb
         for item in items:
             if hb is not None:
                 hb.on_store_put(self, item)
             self._do_put(item)
         self._settle()
-        return True
 
     def get(self) -> StoreGet:
         ev = StoreGet(self)

@@ -214,7 +214,8 @@ class ShardedTapeIndex:
     ``object_for_path`` / ``objects_on_volume`` / ``locate_many`` /
     ``sort_tape_order``) plus the streaming side
     (:meth:`iter_recall_order`, :meth:`bulk_load`) and observability
-    (:attr:`cache`, :meth:`shard_sizes`, :meth:`publish_metrics`).
+    (:attr:`cache`, :meth:`shard_sizes`, :meth:`shard_balance`, and the
+    ``tapedb.*`` views it registers in ``env.metrics``).
     """
 
     def __init__(
@@ -245,6 +246,12 @@ class ShardedTapeIndex:
         self.queries = 0
         #: rows pulled through streaming cursors (for rate metrics)
         self.stream_rows = 0
+        metrics = env.metrics
+        metrics.add("tapedb.queries", lambda: self.queries)
+        metrics.add("tapedb.cache_hits", lambda: self.cache.hits)
+        metrics.add("tapedb.cache_misses", lambda: self.cache.misses)
+        metrics.add("tapedb.cache_evictions", lambda: self.cache.evictions)
+        metrics.add("tapedb.stream_rows", lambda: self.stream_rows)
 
     # -- load side -------------------------------------------------------
     def upsert(
@@ -401,7 +408,6 @@ class ShardedTapeIndex:
             self.queries += 1
             yield self.env.timeout(self.query_latency + 1e-5 * len(paths))
             out = {p: self.object_for_path(filespace, p) for p in paths}
-            self.publish_metrics()
             done.succeed(out)
 
         self.env.process(_proc(), name="tapedb-locate")
@@ -421,25 +427,6 @@ class ShardedTapeIndex:
         if not total:
             return 1.0
         return max(sizes) / (total / len(sizes))
-
-    def publish_metrics(self) -> None:
-        """Export cache and shard-balance counters through repro.trace.
-
-        A no-op when tracing is off: the untraced channel's registry is
-        one process-wide sink, and nothing reads it.
-        """
-        if not self.env.trace.enabled:
-            return
-        m = self.env.trace.metrics
-        m.counter("tapedb.cache_hits").set(self.cache.hits)
-        m.counter("tapedb.cache_misses").set(self.cache.misses)
-        m.counter("tapedb.cache_evictions").set(self.cache.evictions)
-        m.counter("tapedb.stream_rows").set(self.stream_rows)
-        m.counter("tapedb.queries").set(self.queries)
-        sizes = self.shard_sizes()
-        m.gauge("tapedb.shards").set(len(sizes))
-        m.gauge("tapedb.shard_max_entries").set(max(sizes) if sizes else 0)
-        m.gauge("tapedb.shard_balance").set(round(self.shard_balance(), 6))
 
     @staticmethod
     def _row_to_loc(row: dict) -> TapeLocation:

@@ -62,6 +62,7 @@ class TapeIndexDB:
         self.table.create_index("by_path", ("filespace", "path"))
         self.table.create_index("by_volume", ("volume", "seq"))
         self.queries = 0
+        env.metrics.add("tapedb.queries", lambda: self.queries)
 
     # -- load side -------------------------------------------------------
     def upsert(

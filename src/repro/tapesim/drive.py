@@ -150,7 +150,6 @@ class TapeDrive:
                         "drive:mounted", tid=self.name, cat="tape",
                         args={"volume": cartridge.volume},
                     )
-                    tr.metrics.counter("tape.mounts").inc()
             done.succeed(cartridge)
 
         self.env.process(_proc(), name=f"{self.name}-load")
@@ -248,7 +247,6 @@ class TapeDrive:
                     self.bytes_written += nbytes
                     if span is not None:
                         span.end()
-                        tr.metrics.counter("tape.bytes_written").inc(nbytes)
             except SimulationError as exc:
                 # deliver the fault to the waiter instead of crashing the
                 # drive process — callers own the retry decision
@@ -299,7 +297,6 @@ class TapeDrive:
                     self.bytes_read += extent.nbytes
                     if span is not None:
                         span.end()
-                        tr.metrics.counter("tape.bytes_read").inc(extent.nbytes)
             except SimulationError as exc:
                 done.fail(exc)
                 return

@@ -94,6 +94,15 @@ class TapeLibrary:
         self._holders: dict[int, tuple[str, object]] = {}
         # stats
         self.robot_moves = 0
+        metrics = env.metrics
+        metrics.add("tapesim.mounts", lambda: self.total_mounts)
+        metrics.add("tapesim.bytes_written",
+                    lambda: sum(d.bytes_written for d in self.drives))
+        metrics.add("tapesim.bytes_read",
+                    lambda: sum(d.bytes_read for d in self.drives))
+        metrics.add("tapesim.sim_seek_s", lambda: self.total_seek_seconds)
+        metrics.add("tapesim.sim_stream_s",
+                    lambda: sum(d.stream_seconds for d in self.drives))
 
     # ------------------------------------------------------------------
     # inventory

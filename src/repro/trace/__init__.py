@@ -5,7 +5,9 @@ production system had implicitly (operators watching PFTool phases, TSM
 mount activity, migration queues) and our reproduction lacked: every
 interesting component action — a chunk copy, a drive mount, a tape
 recall — can emit a *span* or *instant event* keyed on **simulated
-time**, plus update shared metrics (see :mod:`repro.trace.metrics`).
+time**.  Counters live in the Environment's always-on registry
+(``env.metrics``, see :mod:`repro.sim.metrics`), whose snapshot the
+exporters write as the trace's metrics trailer.
 
 Design constraints, in order:
 
@@ -46,14 +48,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.trace.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
 __all__ = [
     "NULL_CHANNEL",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Span",
     "TraceChannel",
     "Tracer",
@@ -158,11 +154,6 @@ class TraceChannel:
             ev["tid"] = tid
         self._tracer.events.append(ev)
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The tracer's shared metrics registry."""
-        return self._tracer.metrics
-
 
 class _NullSpan:
     """Inert span handed out by the null channel; every method no-ops."""
@@ -205,31 +196,24 @@ class _NullChannel:
     def counter(self, name: str, value, tid: str = "") -> None:
         pass
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        # shared sink; call sites guard on .enabled so this is rarely hit
-        return _NULL_METRICS
-
 
 _NULL_SPAN = _NullSpan()
-_NULL_METRICS = MetricsRegistry()
 
 #: the channel every Environment gets when no tracer is installed
 NULL_CHANNEL = _NullChannel()
 
 
 class Tracer:
-    """Collects events and metrics for one traced run.
+    """Collects events for one traced run.
 
     ``events`` is an append-only list of Chrome-style event dicts with
     ``ts``/``dur`` in simulated **seconds** (exporters convert to µs).
-    ``metrics`` is a :class:`MetricsRegistry` snapshot-able into the
-    export.  ``metadata`` rides along into both exporters.
+    ``metadata`` rides along into both exporters, and so does
+    :meth:`metrics_snapshot`.
     """
 
     def __init__(self, metadata: Optional[dict] = None) -> None:
         self.events: list[dict] = []
-        self.metrics = MetricsRegistry()
         self.metadata: dict = dict(metadata or {})
         self._open: set[Span] = set()
         self._env = None
@@ -240,6 +224,10 @@ class Tracer:
 
     def channel(self, env) -> TraceChannel:
         return TraceChannel(self, env)
+
+    def metrics_snapshot(self) -> dict:
+        """Snapshot of the bound Environment's ``metrics`` ({} if none)."""
+        return self._env.metrics.snapshot() if self._env is not None else {}
 
     def finalize(self) -> None:
         """Close dangling spans at the final timestamp.  Idempotent."""

@@ -114,7 +114,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"{args.scenario} (seed {args.seed}): {len(tracer.events)} events "
         f"({n_spans} spans, {n_instants} instants), "
-        f"{len(tracer.metrics)} metrics, sim end t="
+        f"{len(tracer.metrics_snapshot())} metrics, sim end t="
         f"{tracer.metadata['sim_end_time']:.6f}"
     )
     print(f"wrote {jsonl_path}")

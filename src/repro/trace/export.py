@@ -6,7 +6,8 @@ therefore produce byte-identical files, which the trace CLI tests rely
 on.
 
 * **JSONL** — one JSON object per line: a ``meta`` header, each event in
-  recorded order, then a ``metrics`` snapshot trailer.  Greppable and
+  recorded order, then a ``metrics`` trailer: the snapshot of the
+  traced Environment's ``env.metrics``.  Greppable and
   stream-parsable; the canonical format for tooling.
 * **Chrome trace_event** — the "JSON Array Format" understood by
   ``chrome://tracing`` and Perfetto.  Timestamps/durations convert from
@@ -32,7 +33,7 @@ def write_jsonl(tracer, fh: IO[str]) -> None:
     fh.write(_dumps({"meta": tracer.metadata, "schema": 1}) + "\n")
     for ev in tracer.events:
         fh.write(_dumps(ev) + "\n")
-    fh.write(_dumps({"metrics": tracer.metrics.snapshot()}) + "\n")
+    fh.write(_dumps({"metrics": tracer.metrics_snapshot()}) + "\n")
 
 
 def _us(seconds: float) -> int:
@@ -70,6 +71,6 @@ def write_chrome(tracer, fh: IO[str]) -> None:
     doc = {
         "traceEvents": chrome_events(tracer),
         "displayTimeUnit": "ms",
-        "otherData": dict(tracer.metadata, metrics=tracer.metrics.snapshot()),
+        "otherData": dict(tracer.metadata, metrics=tracer.metrics_snapshot()),
     }
     fh.write(_dumps(doc) + "\n")

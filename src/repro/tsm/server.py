@@ -153,9 +153,14 @@ class TsmServer:
         self.fault_hook: Optional[Callable[[str, Any], Optional[BaseException]]] = None
         # stats
         self.transactions = 0
+        self.objects_stored = 0
+        self.objects_recalled = 0
         self.bytes_stored = 0.0
         self.bytes_retrieved = 0.0
         self.faults_injected = 0
+        env.metrics.add("tsm.transactions", lambda: self.transactions)
+        env.metrics.add("tsm.objects_stored", lambda: self.objects_stored)
+        env.metrics.add("tsm.objects_recalled", lambda: self.objects_recalled)
 
     # ------------------------------------------------------------------
     # sessions
@@ -258,7 +263,7 @@ class TsmServer:
                         ext = write.value
                         if span is not None:
                             span.end(oid=oid, volume=ext.volume, seq=ext.seq)
-                            tr.metrics.counter("tsm.objects_stored").inc()
+                        self.objects_stored += 1
                         self.objects.insert(
                             {
                                 "object_id": oid,
@@ -335,7 +340,7 @@ class TsmServer:
                 ext: TapeExtent = write.value
                 if span is not None:
                     span.end(oid=agg_oid, volume=ext.volume, seq=ext.seq)
-                    tr.metrics.counter("tsm.objects_stored").inc(len(items))
+                self.objects_stored += len(items)
                 self._aggregates[agg_id] = agg_oid
                 receipts = []
                 offset = 0
@@ -437,9 +442,9 @@ class TsmServer:
                         self.bytes_retrieved += obj.nbytes
                         delivered.append(obj)
                         i += 1
+                        self.objects_recalled += 1
                         if span is not None:
                             span.end()
-                            tr.metrics.counter("tsm.objects_recalled").inc()
                 finally:
                     self.library.release_drive(drive)
             done.succeed(delivered)

@@ -529,64 +529,6 @@ def test_ra010_pinned_priority_or_real_delay_is_clean(tmp_path):
     assert result.findings == []
 
 
-# ---------------------------------------------------------------- RA011
-def test_ra011_flags_loop_invariant_call_later(tmp_path):
-    from repro.analysis.rules_races import UnbatchedTimerLoopRule
-
-    result = lint_source(
-        tmp_path,
-        "def fanout(env, fns):\n"
-        "    for fn in fns:\n"
-        "        env.call_later(0.5, fn)\n"
-        "def drain(env, q):\n"
-        "    while q:\n"
-        "        fn = q.pop()\n"
-        "        env.call_later(1.0, fn)\n",
-        [UnbatchedTimerLoopRule()],
-    )
-    assert len(result.findings) == 2
-    assert "call_later_batch" in result.findings[0].message
-
-
-def test_ra011_exempts_varying_delay_yields_and_priorities(tmp_path):
-    from repro.analysis.rules_races import UnbatchedTimerLoopRule
-
-    result = lint_source(
-        tmp_path,
-        "def staggered(env, jobs):\n"
-        "    for i, fn in enumerate(jobs):\n"
-        "        env.call_later(0.1 * i, fn)\n"
-        "def paced(env, fns):\n"
-        "    for fn in fns:\n"
-        "        yield env.timeout(1.0)\n"
-        "        env.call_later(0.5, fn)\n"
-        "def ranked(env, fns):\n"
-        "    for p, fn in fns:\n"
-        "        env.call_later(1.0, fn, priority=p)\n"
-        "def batched(env, fns):\n"
-        "    env.call_later_batch(0.5, fns)\n",
-        [UnbatchedTimerLoopRule()],
-    )
-    assert result.findings == []
-
-
-def test_ra011_ignores_call_later_inside_nested_def(tmp_path):
-    from repro.analysis.rules_races import UnbatchedTimerLoopRule
-
-    result = lint_source(
-        tmp_path,
-        "def make(env, fns):\n"
-        "    out = []\n"
-        "    for fn in fns:\n"
-        "        def later():\n"
-        "            env.call_later(0.5, fn)\n"
-        "        out.append(later)\n"
-        "    return out\n",
-        [UnbatchedTimerLoopRule()],
-    )
-    assert result.findings == []
-
-
 # ---------------------------------------------------------------- RA012
 def test_ra012_flags_silently_swallowed_fault(tmp_path):
     from repro.analysis.rules_health import SilentFaultSwallowRule
@@ -667,7 +609,7 @@ def test_cli_sarif_output_is_valid_sarif(tmp_path, capsys):
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-analysis"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"RA001", "RA008", "RA009", "RA010", "RA011"} <= rule_ids
+    assert {"RA001", "RA008", "RA009", "RA010", "RA012"} <= rule_ids
     (finding,) = run["results"]
     assert finding["ruleId"] == "RA010"
     loc = finding["locations"][0]["physicalLocation"]

@@ -77,7 +77,7 @@ def test_migrate_punches_stubs_and_frees_disk():
     ta.span_count("tsm:store", expect=3)
     ta.no_overlap("drive:write", per="tid")
     ta.no_overlap("drive:mounted", per="tid")
-    assert tracer.metrics.counter("hsm.files_migrated").value == 3
+    assert tracer.metrics_snapshot()["hsm.files_migrated"] == 3
 
 
 def test_migrate_without_punch_premigrates():

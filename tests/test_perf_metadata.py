@@ -6,10 +6,14 @@ thousand files so the determinism and bounded-memory contracts are
 checked on every test run, not just the bench tier.
 """
 
+import io
+import json
+
 import pytest
 
 from repro.perf import COUNTERS, run_suite
-from repro.trace import NULL_CHANNEL, tracing
+from repro.trace import tracing
+from repro.trace.export import write_jsonl
 from repro.perf.metadata import (
     M_BATCH,
     m1_index_scan,
@@ -76,15 +80,22 @@ def test_m_scenarios_registered_in_suite():
     assert m["events"] > 0
 
 
-def test_untraced_scenarios_leave_the_shared_null_registry_empty():
-    """Untraced runs share one process-wide null channel; publishing
-    index metrics into it would carry state from run to run."""
-    for fn in (m1_index_scan, m2_recall_sort, m3_reconcile):
-        fn(pop=POP)
-    assert len(NULL_CHANNEL.metrics) == 0
+def test_env_metrics_do_not_carry_over_between_runs():
+    """Each run's counters live in its own Environment: untraced reruns
+    and a traced run read the same snapshot, and the traced export's
+    trailer is that snapshot."""
+    first = m2_recall_sort(pop=POP).env.metrics.snapshot()
+    again = m2_recall_sort(pop=POP).env.metrics.snapshot()
+    with tracing() as tracer:
+        traced = m2_recall_sort(pop=POP)
+    assert first == again == traced.env.metrics.snapshot()
+    buf = io.StringIO()
+    write_jsonl(tracer, buf)
+    trailer = json.loads(buf.getvalue().splitlines()[-1])
+    assert trailer == {"metrics": traced.env.metrics.snapshot()}
 
 
 def test_traced_scenario_publishes_index_metrics():
     with tracing() as tracer:
         m2_recall_sort(pop=POP)
-    assert tracer.metrics.snapshot()["tapedb.queries"] == 64
+    assert tracer.metrics_snapshot()["tapedb.queries"] == 64

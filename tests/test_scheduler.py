@@ -445,5 +445,5 @@ def test_service_snapshot_and_metrics():
     assert snap["state"] == COMPLETED
     assert snap["wait_time"] == pytest.approx(
         ticket.dispatched - ticket.submitted)
-    assert service.metrics.counter("sched.completed").snapshot() == 1
-    assert service.metrics.gauge("sched.active").snapshot() == 0
+    assert service.summary()["completed"] == 1
+    assert service.summary()["active"] == 0

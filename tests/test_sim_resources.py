@@ -298,6 +298,19 @@ def test_store_put_nowait():
     assert s.items == ["b", "c"]
 
 
+def test_store_put_batch_overflow_raises_and_deposits_nothing():
+    env = Environment()
+    s = Store(env, capacity=3)
+    s.put_batch(["a", "b"])
+    assert s.items == ["a", "b"]
+    # the producer cannot wait, so an overflowing batch must not vanish
+    with pytest.raises(SimulationError, match="overflows"):
+        s.put_batch(["c", "d"])
+    assert s.items == ["a", "b"]
+    s.put_batch(["c"])
+    assert s.items == ["a", "b", "c"]
+
+
 def test_store_put_nowait_wakes_parked_getter():
     env = Environment()
     s = FilterStore(env)

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Environment, MetricsRegistry
 from repro.trace import (
     NULL_CHANNEL,
-    MetricsRegistry,
     Tracer,
     install,
     tracing,
@@ -127,35 +126,23 @@ def test_counter_event_shape():
 # metrics registry
 # ---------------------------------------------------------------------------
 
-def test_metrics_counter_gauge_histogram():
+def test_metrics_views_sum_per_name():
     reg = MetricsRegistry()
-    reg.counter("n").inc()
-    reg.counter("n").inc(4)
-    reg.gauge("t").set(2.5)
-    h = reg.histogram("sizes")
-    for v in (5, 50, 50, 5_000_000):
-        h.observe(v)
-    snap = reg.snapshot()
-    assert snap["n"] == 5
-    assert snap["t"] == 2.5
-    assert snap["sizes"]["count"] == 4
-    assert snap["sizes"]["sum"] == 5_000_105.0
-    assert snap["sizes"]["min"] == 5
-    assert snap["sizes"]["max"] == 5_000_000
-    assert h.mean == pytest.approx(1_250_026.25)
-
-
-def test_metrics_kind_collision_raises():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
+    written = {"scratch": 2.0, "archive": 3.0}
+    reg.add("pfs.bytes_written", lambda: written["scratch"])
+    reg.add("pfs.bytes_written", lambda: written["archive"])
+    reg.add("tapesim.mounts", lambda: 4)
+    assert reg.snapshot() == {"pfs.bytes_written": 5.0, "tapesim.mounts": 4}
+    # views read the live counters; the registry keeps no copy
+    written["archive"] = 10.0
+    assert reg.snapshot() == {"pfs.bytes_written": 12.0, "tapesim.mounts": 4}
 
 
 def test_metrics_snapshot_registration_order():
     reg = MetricsRegistry()
-    reg.counter("b")
-    reg.counter("a")
+    reg.add("b", lambda: 1)
+    reg.add("a", lambda: 2)
+    reg.add("b", lambda: 3)
     assert list(reg.snapshot()) == ["b", "a"]
 
 
@@ -173,12 +160,13 @@ def _sample_tracer():
 
     env.process(p())
     env.run()
-    tracer.metrics.counter("files").inc(3)
-    return tracer
+    files = 3
+    env.metrics.add("files", lambda: files)
+    return tracer, env
 
 
 def test_jsonl_export_roundtrips(tmp_path):
-    tracer = _sample_tracer()
+    tracer, env = _sample_tracer()
     path = tmp_path / "t.jsonl"
     with open(path, "w") as fh:
         write_jsonl(tracer, fh)
@@ -186,11 +174,14 @@ def test_jsonl_export_roundtrips(tmp_path):
     assert lines[0]["schema"] == 1
     assert lines[1]["name"] == "phase"
     assert lines[2]["name"] == "tick"
-    assert lines[-1]["metrics"] == {"files": 3}
+    # the trailer is the traced env's registry: the kernel's own count,
+    # then the view the test registered
+    assert lines[-1]["metrics"] == {
+        "sim.events": env.events_processed, "files": 3}
 
 
 def test_chrome_export_is_valid_trace_event_json(tmp_path):
-    tracer = _sample_tracer()
+    tracer, env = _sample_tracer()
     path = tmp_path / "t.trace.json"
     with open(path, "w") as fh:
         write_chrome(tracer, fh)
@@ -203,7 +194,8 @@ def test_chrome_export_is_valid_trace_event_json(tmp_path):
     assert span["pid"] == 1 and span["tid"] == "w0"
     inst = next(e for e in evs if e["ph"] == "i")
     assert inst["s"] == "t"
-    assert doc["otherData"]["metrics"] == {"files": 3}
+    assert doc["otherData"]["metrics"] == {
+        "sim.events": env.events_processed, "files": 3}
 
 
 def test_chrome_events_microsecond_rounding():

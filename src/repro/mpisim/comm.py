@@ -19,7 +19,7 @@ Semantics (the subset of MPI that PFTool uses):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.sim import Environment, FilterStore, SimulationError, StoreGet
 
@@ -59,7 +59,10 @@ class SimComm:
         self.env = env
         self.size = size
         self.latency = latency
-        self._mailboxes = [FilterStore(env) for _ in range(size)]
+        #: one mailbox per rank; None once :meth:`release` ran
+        self._mailboxes: Optional[list[FilterStore]] = [
+            FilterStore(env) for _ in range(size)
+        ]
         self.messages_sent = 0
         #: opt-in :class:`repro.analysis.monitor.InvariantMonitor` hook;
         #: observes every send and every posted receive when set
@@ -82,10 +85,29 @@ class SimComm:
         if not (0 <= rank < self.size):
             raise SimulationError(f"rank {rank} out of range 0..{self.size - 1}")
 
+    def _mailbox(self, rank: int) -> FilterStore:
+        if self._mailboxes is None:
+            raise SimulationError(
+                f"{self!r} was released when its job finished; "
+                "it sends and receives nothing more"
+            )
+        self._check_rank(rank)
+        return self._mailboxes[rank]
+
+    def release(self) -> None:
+        """Drop the mailboxes once no rank can use them again.
+
+        :class:`~repro.pftool.job.PftoolJob` calls this when the job is
+        over; the counters stay readable, and a later :meth:`send`,
+        :meth:`recv` or :meth:`pending` raises :class:`SimulationError`.
+        Messages already in flight land in the dropped mailboxes.
+        """
+        self._mailboxes = None
+
     def send(self, src: int, dst: int, payload: Any, tag: int = 0) -> None:
         """Buffered send; returns immediately (delivery is delayed)."""
+        mailbox = self._mailbox(dst)
         self._check_rank(src)
-        self._check_rank(dst)
         if tag < 0:
             raise SimulationError("tags must be non-negative (negatives are wildcards)")
         self.messages_sent += 1
@@ -105,10 +127,8 @@ class SimComm:
         if tr.enabled:
             tr.instant("comm:send", tid=f"rank{src}", cat="comm",
                        args={"dst": dst, "tag": tag})
-        # Mailboxes are unbounded, so the non-waiting put always succeeds;
         # call_later recycles its timer event, making a send one heap push
         # instead of a Process + init event + Timeout + put event.
-        mailbox = self._mailboxes[dst]
         if self.latency > 0:
             key = (src, dst, deliver_at)
             batch = self._inflight.get(key)
@@ -120,8 +140,12 @@ class SimComm:
                     deliver_at - self.env.now,
                     lambda: self._deliver(key, batch, mailbox),
                 )
-        else:
-            mailbox.put_nowait(msg)
+        elif not mailbox.put_nowait(msg):
+            # nobody waits on a send, so a refused message would be lost
+            raise SimulationError(
+                f"rank {dst}'s mailbox is full: send from rank {src} "
+                f"(tag {tag}) refused"
+            )
 
     def _deliver(
         self, key: tuple[int, int, float], batch: list[Message], mailbox
@@ -140,7 +164,7 @@ class SimComm:
         Call ``.cancel()`` on the returned event to withdraw an unused
         receive (e.g. when a watchdog timer won the race instead).
         """
-        self._check_rank(rank)
+        mailbox = self._mailbox(rank)
 
         def _match(msg: Message) -> bool:
             if source != ANY_SOURCE and msg.source != source:
@@ -149,7 +173,7 @@ class SimComm:
                 return False
             return True
 
-        get = self._mailboxes[rank].get(_match)
+        get = mailbox.get(_match)
         if self.monitor is not None:
             self.monitor.on_recv(self, rank, get)
         hb = self.env.hb
@@ -159,8 +183,7 @@ class SimComm:
 
     def pending(self, rank: int) -> int:
         """Messages waiting in *rank*'s mailbox (probe-ish)."""
-        self._check_rank(rank)
-        return len(self._mailboxes[rank].items)
+        return len(self._mailbox(rank).items)
 
     def broadcast(self, src: int, payload: Any, tag: int = 0) -> None:
         """Send to every other rank (a loop of sends, like PFTool's

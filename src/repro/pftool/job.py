@@ -2,7 +2,10 @@
 
 A :class:`PftoolJob` builds the communicator, spawns every rank as a DES
 process, and exposes a completion event that fires with the job's
-:class:`~repro.pftool.stats.JobStats`.
+:class:`~repro.pftool.stats.JobStats`.  Once that event has been
+processed and every rank has ended, the job drops its mailboxes, rank
+processes and Manager and keeps only its results (see
+:meth:`PftoolJob._release`).
 
 Crash recovery (see :mod:`repro.recovery`): pass a
 :class:`~repro.recovery.journal.JobJournal` and the Manager appends a
@@ -15,7 +18,7 @@ re-copies only what never made it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Generator, Optional
 
 from repro.analysis.monitor import default_monitor
 from repro.faults import CrashFault
@@ -88,14 +91,17 @@ class PftoolJob:
         self.comm = SimComm(env, self.cfg.total_ranks)
         if ctx.fault_injector is not None:
             ctx.fault_injector.bind_comm(self.comm, ctx.node_of_rank)
-        self._manager = Manager(
+        self._manager: Optional[Manager] = Manager(
             env, self.comm, self.cfg, ctx, op, src, dst, self.stats,
-            self.done, journal=journal,
+            self.done, journal=journal, spawn=self._spawn,
         )
         #: ranks that actually run a process (tape ranks may be skipped)
         self.live_ranks: set[int] = set()
         #: rank -> its kernel Process, for crash injection
         self.rank_procs: dict[int, Process] = {}
+        #: started rank bodies and Manager helpers that have not yet
+        #: returned, raised or been killed
+        self._running = 0
         monitor = ctx.monitor if ctx.monitor is not None else default_monitor()
         if monitor is not None:
             monitor.attach(self)
@@ -103,39 +109,78 @@ class PftoolJob:
             # jobs; detach on completion (success or crash-fail) so the
             # monitor never accumulates dead jobs' state.
             self.done.callbacks.append(lambda _ev: monitor.detach(self))
+        # after the detach above: the monitor's audits read the mailboxes
+        self.done.callbacks.append(self._on_done)
         self._spawn_ranks()
 
     def _spawn_ranks(self) -> None:
         env, comm, cfg, ctx = self.env, self.comm, self.cfg, self.ctx
+        spawn = self._spawn
         procs = self.rank_procs
-        procs[0] = env.process(self._manager.run(), name="pftool-manager")
-        procs[1] = env.process(
-            output_proc(env, comm, 1, self.stats), name="pftool-output"
-        )
-        procs[2] = env.process(
-            watchdog_proc(env, comm, 2, cfg, self.stats), name="pftool-watchdog"
+        procs[0] = spawn(self._manager.run(), "pftool-manager")
+        procs[1] = spawn(output_proc(env, comm, 1, self.stats), "pftool-output")
+        procs[2] = spawn(
+            watchdog_proc(env, comm, 2, cfg, self.stats), "pftool-watchdog"
         )
         self.live_ranks.update((0, 1, 2))
         rank = 3
         for _ in range(cfg.num_readdir):
-            procs[rank] = env.process(
-                readdir_proc(env, comm, rank, cfg, ctx), name=f"pftool-readdir{rank}"
+            procs[rank] = spawn(
+                readdir_proc(env, comm, rank, cfg, ctx), f"pftool-readdir{rank}"
             )
             self.live_ranks.add(rank)
             rank += 1
         for _ in range(cfg.num_workers):
-            procs[rank] = env.process(
-                worker_proc(env, comm, rank, cfg, ctx), name=f"pftool-worker{rank}"
+            procs[rank] = spawn(
+                worker_proc(env, comm, rank, cfg, ctx), f"pftool-worker{rank}"
             )
             self.live_ranks.add(rank)
             rank += 1
         for _ in range(cfg.num_tapeprocs):
             if ctx.tsm is not None:
-                procs[rank] = env.process(
-                    tape_proc(env, comm, rank, cfg, ctx), name=f"pftool-tape{rank}"
+                procs[rank] = spawn(
+                    tape_proc(env, comm, rank, cfg, ctx), f"pftool-tape{rank}"
                 )
                 self.live_ranks.add(rank)
             rank += 1
+
+    # -- lifecycle -----------------------------------------------------
+    def _spawn(self, body: Generator, name: str) -> Process:
+        """Start *body* (a rank or a Manager helper) as a job process."""
+        return self.env.process(self._counted(body), name=name)
+
+    def _counted(self, body: Generator) -> Generator:
+        # ``yield from`` adds no kernel event, and unlike a callback on the
+        # Process it keeps a crashing body's exception surfacing from
+        # Environment.run (a Process with callbacks does not crash the run).
+        # A body killed before its first step never enters this frame, so
+        # it is never counted.
+        self._running += 1
+        try:
+            return (yield from body)
+        finally:
+            self._running -= 1
+            if not self._running and self.done.processed:
+                self._release()
+
+    def _on_done(self, _ev: Event) -> None:
+        if not self._running:
+            self._release()
+
+    def _release(self) -> None:
+        """Drop the engine state of a finished job.
+
+        Runs once ``done`` has been processed and every rank body and
+        Manager helper has ended, so nothing can touch the communicator
+        again.  The job keeps what callers read afterwards: ``stats``,
+        ``journal``, ``done``, ``live_ranks`` and ``comm`` with its
+        counters.  A service that runs thousands of jobs then holds
+        memory in proportion to the jobs in flight, not to every job it
+        ever ran.
+        """
+        self.comm.release()
+        self.rank_procs = {}
+        self._manager = None
 
     @property
     def worker_ranks(self) -> list[int]:

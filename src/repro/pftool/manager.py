@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.faults import FailureRecord
 from repro.mpisim import SimComm
@@ -44,7 +44,7 @@ from repro.pftool.messages import (
     WorkRequest,
 )
 from repro.pftool.stats import JobStats
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Process
 
 __all__ = ["Abort", "Manager"]
 
@@ -71,6 +71,7 @@ class Manager:
         stats: JobStats,
         done: Event,
         journal=None,
+        spawn: Optional[Callable[..., Process]] = None,
     ) -> None:
         self.env = env
         self.comm = comm
@@ -85,6 +86,9 @@ class Manager:
         #: results land, consulted by the restart path so a resumed job
         #: never re-copies past the journal frontier
         self.journal = journal
+        #: starts the Manager's helper processes; PftoolJob passes one
+        #: that counts them, so the job knows when they have all ended
+        self._spawn = spawn or env.process
 
         self.dir_q: deque[DirJob] = deque()
         self.name_q: deque[StatJob] = deque()
@@ -234,7 +238,7 @@ class Manager:
             if not self.done.triggered:
                 self.done.succeed(self.stats)
 
-        self.env.process(_settle(), name="pftool-settle")
+        self._spawn(_settle(), name="pftool-settle")
 
     def _handle_abort(self, abort: Abort) -> None:
         self.aborting = True
@@ -323,7 +327,7 @@ class Manager:
             yield env.timeout(delay)
             comm.send(0, 0, Retry(kind, payload), TAG_RETRY)
 
-        env.process(_later(), name=f"pftool-retry-{kind}")
+        self._spawn(_later(), name=f"pftool-retry-{kind}")
 
     def _on_retry(self, retry: Retry) -> None:
         self.pending_retries -= 1
@@ -597,7 +601,7 @@ class Manager:
                 locs = {}
             comm.send(0, 0, TapeInfo(tuple(entries), locs), TAG_TAPEINFO)
 
-        env.process(_helper(), name="pftool-tapedb-lookup")
+        self._spawn(_helper(), name="pftool-tapedb-lookup")
 
     def _on_tape_info(self, info: TapeInfo) -> None:
         self.pending_lookups -= 1

@@ -429,6 +429,14 @@ class FilterStore(Store):
 
     The returned :class:`StoreGet` supports ``cancel()`` for callers
     that race a receive against a timer and lose interest.
+
+    Matching rule: after every settle no parked getter matches any held
+    item, so a new getter is offered only the current items (one
+    :meth:`_do_get`; parking n getters costs n calls, not n²/2), while
+    a put still rotates every parked getter in FIFO order.  Predicates
+    must therefore not flip from False to True while the item sits in
+    the store; one whose state changes re-puts the item (see
+    ``TapeLibrary.repair_drive``).
     """
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # noqa: A002
@@ -436,8 +444,10 @@ class FilterStore(Store):
         hb = self.env.hb
         if hb is not None:
             hb.on_store_get(self, ev)
-        self._getq.append(ev)
-        self._settle()
+        if not self._do_get(ev):
+            self._getq.append(ev)
+        elif self._putq:
+            self._settle()  # the freed slot admits a blocked put
         return ev
 
     def _do_get(self, getter: Event) -> bool:

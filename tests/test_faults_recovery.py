@@ -84,9 +84,11 @@ def migrate_tree(env, system, root, n, size):
     return paths
 
 
-def assert_no_wedge(job):
-    """No leaked queue state once the Manager declared completion."""
-    m = job._manager
+def assert_no_wedge(m):
+    """No leaked queue state once the Manager declared completion.
+
+    Takes the Manager captured before the run: a finished job releases it.
+    """
     assert m.waiting_chunks == {}
     assert m.parked_container_jobs == {}
     assert m.pending_retries == 0
@@ -210,6 +212,7 @@ def test_restore_survives_drive_failures_and_tsm_errors():
     cfg = cfg_small(num_tapeprocs=2, retry_backoff=0.5, retry_limit=4,
                     stall_timeout=600.0)
     job = system.retrieve("/cold", "/back", cfg)
+    manager = job._manager
     stats = env.run(job.done)
 
     assert not stats.aborted
@@ -229,7 +232,7 @@ def test_restore_survives_drive_failures_and_tsm_errors():
         assert injector.injected.get("tsm", 0) >= 1
         assert stats.retries_by_class.get("drive", 0) >= 1
         assert stats.retries_by_class.get("tsm", 0) >= 1
-    assert_no_wedge(job)
+    assert_no_wedge(manager)
 
 
 def test_tape_retrieve_errors_exhaust_retries_without_wedging():
@@ -243,13 +246,14 @@ def test_tape_retrieve_errors_exhaust_retries_without_wedging():
     )
     cfg = cfg_small(retry_limit=1, retry_backoff=0.5, stall_timeout=600.0)
     job = system.retrieve("/cold", "/back", cfg)
+    manager = job._manager
     stats = env.run(job.done)
     assert not stats.aborted
     assert stats.tape_files_restored == 0
     assert stats.files_failed == 4
     assert stats.failures_by_class.get("tsm") == 4
     assert stats.retries_by_class.get("tsm") == 4  # one retry each
-    assert_no_wedge(job)
+    assert_no_wedge(manager)
 
 
 # ----------------------------------------------------------------------
@@ -267,13 +271,14 @@ def test_transient_fs_errors_on_chunked_copy_retried():
     cfg = cfg_small(chunk_threshold=2 * GB, copy_chunk_size=2 * GB,
                     retry_backoff=0.5)
     job = system.archive("/big", "/a", cfg)
+    manager = job._manager
     stats = env.run(job.done)
     assert not stats.aborted
     assert stats.files_copied == 1
     assert stats.files_failed == 0
     assert stats.retries_by_class.get("fs") == 2
     assert system.archive_fs.lookup("/a/one.dat").size == 8 * GB
-    assert_no_wedge(job)
+    assert_no_wedge(manager)
 
 
 def test_permanent_create_failure_drains_waiting_chunks():
@@ -290,6 +295,7 @@ def test_permanent_create_failure_drains_waiting_chunks():
     cfg = cfg_small(chunk_threshold=2 * GB, copy_chunk_size=2 * GB,
                     retry_limit=2, retry_backoff=0.5)
     job = system.archive("/big", "/a", cfg)
+    manager = job._manager
     stats = env.run(job.done)
     assert not stats.aborted
     assert stats.files_copied == 1  # ok.dat
@@ -297,7 +303,7 @@ def test_permanent_create_failure_drains_waiting_chunks():
     assert stats.retries_by_class.get("fs") == 2
     assert stats.failures_by_class.get("fs") == 1
     assert system.archive_fs.lookup("/a/ok.dat").size == 5 * MB
-    assert_no_wedge(job)
+    assert_no_wedge(manager)
 
 
 def test_node_outage_copies_retried_on_recovery():
@@ -321,6 +327,7 @@ def test_node_outage_copies_retried_on_recovery():
     )
     cfg = cfg_small(retry_backoff=1.0, retry_limit=4)
     job = system.archive("/d", "/a", cfg)
+    manager = job._manager
     stats = env.run(job.done)
     assert not stats.aborted
     assert stats.files_copied == 16
@@ -330,7 +337,7 @@ def test_node_outage_copies_retried_on_recovery():
     assert injector.injected.get("node", 0) >= 1
     for i in range(16):
         assert system.archive_fs.lookup(f"/a/f{i:02d}").size == 2 * MB
-    assert_no_wedge(job)
+    assert_no_wedge(manager)
 
 
 # ----------------------------------------------------------------------
@@ -349,13 +356,14 @@ def test_restore_paths_containing_sentinel_substrings():
     env.run(system.hsm.migrate("fta0", weird))
     env.run(system.exporter.run_once())
     job = system.retrieve("/cold", "/back", cfg_small())
+    manager = job._manager
     stats = env.run(job.done)
     assert not stats.aborted
     assert stats.files_copied == 2
     assert stats.files_failed == 0
     assert system.scratch_fs.lookup("/back/run@@7@@fields@@v2.h5").size == 10 * MB
     assert system.scratch_fs.lookup("/back/x##container##y.dat").size == 10 * MB
-    assert_no_wedge(job)
+    assert_no_wedge(manager)
 
 
 # ----------------------------------------------------------------------

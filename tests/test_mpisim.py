@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mpisim import ANY_SOURCE, ANY_TAG, Message, SimComm
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, FilterStore, SimulationError
 
 
 def test_send_recv_roundtrip():
@@ -155,3 +155,27 @@ def test_message_counter():
     comm.send(0, 1, "x")
     comm.broadcast(2, "y")
     assert comm.messages_sent == 3
+
+
+def test_zero_latency_send_to_full_mailbox_raises():
+    env = Environment()
+    comm = SimComm(env, 2, latency=0.0)
+    comm._mailboxes[1] = FilterStore(env, capacity=1)
+    comm.send(0, 1, "fits")
+    # nobody waits on a send, so a refused message must not vanish
+    with pytest.raises(SimulationError, match="mailbox is full"):
+        comm.send(0, 1, "refused")
+    assert [m.payload for m in comm._mailboxes[1].items] == ["fits"]
+
+
+def test_released_comm_refuses_send_and_recv_but_keeps_counters():
+    env = Environment()
+    comm = SimComm(env, 2, latency=0.0)
+    comm.send(0, 1, "x")
+    comm.release()
+    assert comm.messages_sent == 1
+    for use in (lambda: comm.send(0, 1, "y"), lambda: comm.recv(1),
+                lambda: comm.pending(1)):
+        with pytest.raises(SimulationError, match="released"):
+            use()
+    assert comm.messages_sent == 1

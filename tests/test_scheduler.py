@@ -8,14 +8,19 @@ and the long-running-service bugfixes that ride along:
 * LoadManager strict unknown-node accounting,
 * PftoolJob rejecting a stale (already-used) journal,
 * InvariantMonitor detaching on job completion (no growth across a
-  service's job stream).
+  service's job stream),
+* finished jobs releasing their mailboxes, rank processes and Manager
+  (live engine objects do not grow with the number of jobs run).
 """
+
+import gc
 
 import pytest
 
 from repro.analysis.monitor import InvariantMonitor, set_default_monitor_factory
 from repro.pftool import PftoolConfig
 from repro.pftool.loadmanager import LoadManager
+from repro.pftool.manager import Manager
 from repro.recovery.journal import JobJournal
 from repro.scheduler import (
     ACTIVE,
@@ -32,7 +37,7 @@ from repro.scheduler import (
     TenantQueue,
 )
 from repro.scheduler.scenario import build_site
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, FilterStore, Process, SimulationError
 from repro.trace import Tracer, tracing
 from repro.trace.assertions import TraceAssertions
 from repro.workloads.generators import preload_tree
@@ -283,6 +288,49 @@ def test_monitor_does_not_grow_over_job_stream():
     assert mon.violations == []
 
 
+# ---------------------------------------------------------------------------
+# finished jobs release their engine state
+# ---------------------------------------------------------------------------
+
+def _live_engine_objects(n_jobs):
+    """Run *n_jobs* small archive jobs through a service, drain it, and
+    count the per-job engine objects the garbage collector still finds."""
+    env = Environment()
+    system, service = make_service(env)
+    tickets = [submit_with_tree(service, "alice" if k % 2 else "bob",
+                                f"j{k}", n_files=2, size=MB)
+               for k in range(n_jobs)]
+    env.run(service.drain())
+    env.run()
+    assert all(t.state == COMPLETED for t in tickets)
+    assert all(t.job.stats.files_copied == 2 for t in tickets)
+    gc.collect()
+    counts = {"FilterStore": 0, "Manager": 0, "rank Process": 0}
+    for obj in gc.get_objects():
+        if not isinstance(obj, (FilterStore, Manager, Process)) or obj.env is not env:
+            continue  # another test's leftovers are not this site's
+        if isinstance(obj, FilterStore):
+            counts["FilterStore"] += 1
+        elif isinstance(obj, Manager):
+            counts["Manager"] += 1
+        elif obj.name.startswith("pftool-"):
+            counts["rank Process"] += 1
+    # keep the site alive until the count is taken: its own FilterStores
+    # (the tape library's drive pool) are part of the baseline
+    assert system is not None
+    return counts
+
+
+def test_finished_jobs_release_mailboxes_ranks_and_manager():
+    small, large = _live_engine_objects(6), _live_engine_objects(12)
+    assert small["Manager"] == large["Manager"] == 0
+    assert small["rank Process"] == large["rank Process"] == 0
+    assert small["FilterStore"] == large["FilterStore"]
+
+
+# ---------------------------------------------------------------------------
+# ArchiveService end-to-end
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # ArchiveService end-to-end
 # ---------------------------------------------------------------------------

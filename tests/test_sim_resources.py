@@ -357,6 +357,32 @@ def test_cancelled_get_is_never_delivered_an_item():
     assert got == ["msg"]
 
 
+def test_filter_store_parking_n_getters_makes_n_do_get_calls():
+    """A new getter is offered only the held items: parking n getters
+    that match nothing costs n _do_get calls, not a rotation of every
+    parked getter per get (n*(n+1)/2 calls)."""
+    calls = 0
+
+    class CountingStore(FilterStore):
+        def _do_get(self, getter):
+            nonlocal calls
+            calls += 1
+            return super()._do_get(getter)
+
+    env = Environment()
+    s = CountingStore(env)
+    s.put_nowait("held")
+    n = 300
+    gets = [s.get(lambda m, i=i: m == i) for i in range(n)]
+    assert calls == n
+    assert s.items == ["held"]
+    # a put still rotates the parked getters in FIFO order
+    assert s.put_nowait(7)
+    env.run()
+    assert gets[7].value == 7
+    assert not any(g.triggered for i, g in enumerate(gets) if i != 7)
+
+
 def test_mass_cancel_parked_gets_is_near_linear():
     """Regression for the O(n) StoreGet.cancel: cancelling 10k parked
     receives must scale ~linearly (tombstones + compaction), not

@@ -247,7 +247,7 @@ def m3_reconcile(pop: int = 0) -> ScenarioOutcome:
         orphan_ids = []
         crc = 0
         pending = 0
-        # Collect during the stream, mutate after: Table.iter_index is
+        # Collect during the stream, mutate after: Table.cursor is
         # a positional cursor, not a snapshot.
         for loc in db.iter_recall_order(batch=M_BATCH):
             result["scanned"] += 1

@@ -207,7 +207,8 @@ class PftoolJob:
         In-flight chunk copies are torn down mid-transfer; nothing is
         retried and no statistics settle.  ``done`` fails with the crash
         so ``env.run(job.done)`` surfaces it — recovery goes through
-        :meth:`resume` with the job's journal.
+        :meth:`resume` with the job's journal.  A crash after ``done``
+        has fired leaves the job's settled statistics alone.
         """
         if not isinstance(cause, BaseException):
             cause = CrashFault(
@@ -215,9 +216,9 @@ class PftoolJob:
             )
         for proc in self.rank_procs.values():
             proc.kill(cause)
-        self.stats.aborted = True
-        self.stats.abort_reason = str(cause)
         if not self.done.triggered:
+            self.stats.aborted = True
+            self.stats.abort_reason = str(cause)
             self.done.fail(cause)
 
     def crash_rank(self, rank: int, cause=None) -> None:

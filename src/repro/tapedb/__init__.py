@@ -10,9 +10,12 @@ recalls into tape order.
 :mod:`repro.tapedb` supplies the same capability, grown past the single
 export the paper ran:
 
-* :class:`Table` / :class:`Index` — a small in-memory table engine with
-  hash + sorted-range indexes, predicate scans, streaming cursors
-  (:meth:`Table.iter_index`) and O(n log n) :meth:`Table.bulk_load`;
+* :class:`Table` / :class:`Index` — a small in-memory table engine that
+  stores each row once, as a tuple in column order, with hash +
+  sorted-range indexes, predicate scans, streaming cursors
+  (:meth:`Table.cursor`) and an O(n log n) bulk :meth:`Table.load`; its
+  dict API copies rows in and out, while the tape indexes read the
+  stored tuples directly;
 * :class:`TapeIndexDB` — the `filespace -> (volume, seq, object id)`
   schema with the queries PFTool and the synchronous deleter need,
   including the streaming recall order;

@@ -1,66 +1,103 @@
 """A tiny indexed table engine (the MySQL stand-in).
 
-Rows are dicts; a :class:`Table` enforces a column schema and maintains
-secondary :class:`Index` es (hash for equality, sorted arrays for range
-scans via :mod:`bisect`).  Just enough SQL-shaped capability for the
-archive: equality lookups, ordered range scans, predicate filters,
-deletes by key.
+A :class:`Table` stores each row once, as a tuple of its values in
+``columns`` order, enforces that schema and maintains secondary
+:class:`Index` es (hash for equality, sorted arrays for range scans via
+:mod:`bisect`) keyed by column positions.  Just enough SQL-shaped
+capability for the archive: equality lookups, ordered range scans,
+predicate filters, deletes by key.
+
+The table has one core that speaks stored tuples — :meth:`Table.put`,
+:meth:`Table.load`, :meth:`Table.row`, :meth:`Table.pop`,
+:meth:`Table.find` and :meth:`Table.cursor` — which hands out the
+stored rows themselves (tuples are immutable, so no copy is needed).
+The dict API (:meth:`Table.insert`, :meth:`Table.bulk_load`,
+:meth:`Table.get`, the ``select_*`` queries, :meth:`Table.iter_index`,
+:meth:`Table.scan`) is a thin layer over that core: it takes
+``{column: value}`` dicts and returns fresh ones the caller may mutate.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 __all__ = ["Index", "Table"]
 
 Row = dict
 
 
+def _getter(keys: Sequence) -> Callable[[Any], tuple]:
+    """``row -> tuple(row[k] for k in keys)``, always a tuple."""
+    if len(keys) == 1:
+        (k,) = keys
+        return lambda row: (row[k],)
+    return itemgetter(*keys)
+
+
 class Index:
     """Secondary index over one or more columns.
 
     Maintains both a hash map (equality) and a sorted key list (ordered
-    iteration / range queries).  Keys are tuples of the column values.
+    iteration / range queries).  Keys are tuples of the column values,
+    read from a stored row at *positions*.  A hash bucket is a bare
+    rowid while its key is unique and becomes a list of rowids, in
+    insertion order, only while the key is shared.
     """
 
-    def __init__(self, name: str, columns: Sequence[str]) -> None:
+    def __init__(
+        self, name: str, columns: Sequence[str], positions: Sequence[int]
+    ) -> None:
         if not columns:
             raise ValueError("index needs at least one column")
         self.name = name
         self.columns = tuple(columns)
-        self._hash: dict[tuple, list[int]] = {}
+        self.key_of = _getter(tuple(positions))
+        self._hash: dict[tuple, int | list[int]] = {}
         self._sorted_keys: list[tuple] = []
 
-    def key_of(self, row: Row) -> tuple:
-        return tuple(row[c] for c in self.columns)
+    def _link(self, rowid: int, key: tuple) -> bool:
+        """Add *rowid* to *key*'s bucket; True when the key is new."""
+        bucket = self._hash.get(key)
+        if bucket is None:
+            self._hash[key] = rowid
+            return True
+        if bucket.__class__ is int:
+            self._hash[key] = [bucket, rowid]
+        else:
+            bucket.append(rowid)
+        return False
 
-    def add(self, rowid: int, row: Row) -> None:
+    def add(self, rowid: int, row: tuple) -> None:
+        key = self.key_of(row)
+        if self._link(rowid, key):
+            bisect.insort(self._sorted_keys, key)
+
+    def remove(self, rowid: int, row: tuple) -> None:
         key = self.key_of(row)
         bucket = self._hash.get(key)
         if bucket is None:
-            self._hash[key] = [rowid]
-            bisect.insort(self._sorted_keys, key)
-        else:
-            bucket.append(rowid)
+            return
+        if bucket.__class__ is not int:
+            if rowid in bucket:
+                bucket.remove(rowid)
+                if len(bucket) == 1:
+                    self._hash[key] = bucket[0]
+            return
+        if bucket != rowid:
+            return
+        del self._hash[key]
+        i = bisect.bisect_left(self._sorted_keys, key)
+        if i < len(self._sorted_keys) and self._sorted_keys[i] == key:
+            self._sorted_keys.pop(i)
 
-    def remove(self, rowid: int, row: Row) -> None:
-        key = self.key_of(row)
-        bucket = self._hash.get(key)
-        if not bucket:
-            return
-        try:
-            bucket.remove(rowid)
-        except ValueError:
-            return
-        if not bucket:
-            del self._hash[key]
-            i = bisect.bisect_left(self._sorted_keys, key)
-            if i < len(self._sorted_keys) and self._sorted_keys[i] == key:
-                self._sorted_keys.pop(i)
+    def _ids(self, key: tuple) -> Sequence[int]:
+        bucket = self._hash.get(key, ())
+        return (bucket,) if bucket.__class__ is int else bucket
 
     def lookup(self, key: tuple) -> list[int]:
-        return list(self._hash.get(key, ()))
+        return list(self._ids(key))
 
     def range(
         self, lo: Optional[tuple] = None, hi: Optional[tuple] = None
@@ -73,35 +110,18 @@ class Index:
             else bisect.bisect_left(self._sorted_keys, hi)
         )
         for key in self._sorted_keys[start:stop]:
-            yield from self._hash[key]
+            yield from self._ids(key)
 
     def prefix(self, prefix: tuple) -> Iterator[int]:
         """Row ids whose key starts with *prefix*, in key order."""
-        lo = prefix
-        hi = prefix[:-1] + (_Biggest(prefix[-1]),)
-        start = bisect.bisect_left(self._sorted_keys, lo)
+        start = bisect.bisect_left(self._sorted_keys, prefix)
         for key in self._sorted_keys[start:]:
             if key[: len(prefix)] != prefix:
                 break
-            yield from self._hash[key]
+            yield from self._ids(key)
 
     def __len__(self) -> int:
         return len(self._sorted_keys)
-
-
-class _Biggest:
-    """Sorts just after any value equal to its payload (prefix upper bound)."""
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: Any) -> None:
-        self.payload = payload
-
-    def __lt__(self, other: Any) -> bool:
-        return False  # nothing is bigger
-
-    def __gt__(self, other: Any) -> bool:
-        return True
 
 
 class Table:
@@ -115,7 +135,10 @@ class Table:
         self.name = name
         self.columns = tuple(columns)
         self.primary_key = primary_key
-        self._rows: dict[int, Row] = {}
+        self._pk_pos = self.columns.index(primary_key)
+        self._colset = frozenset(self.columns)
+        self._pack_dict = _getter(self.columns)
+        self._rows: dict[int, tuple] = {}
         self._next_rowid = 1
         self._pk: dict[Hashable, int] = {}
         self._indexes: dict[str, Index] = {}
@@ -124,7 +147,7 @@ class Table:
     def create_index(self, name: str, columns: Sequence[str]) -> Index:
         if name in self._indexes:
             raise ValueError(f"duplicate index {name!r}")
-        idx = Index(name, columns)
+        idx = Index(name, columns, [self.columns.index(c) for c in columns])
         for rowid, row in self._rows.items():
             idx.add(rowid, row)
         self._indexes[name] = idx
@@ -136,62 +159,188 @@ class Table:
         except KeyError:
             raise KeyError(f"table {self.name}: no index {name!r}") from None
 
-    # -- DML -------------------------------------------------------------
-    def insert(self, row: Row) -> int:
-        missing = set(self.columns) - set(row)
-        extra = set(row) - set(self.columns)
-        if missing or extra:
+    # -- the tuple core: stored rows, in ``columns`` order ---------------
+    def _check(self, row: tuple) -> Hashable:
+        """Validate a row's arity; return its primary key."""
+        if len(row) != len(self.columns):
             raise ValueError(
-                f"table {self.name}: bad columns (missing={sorted(missing)}, "
-                f"extra={sorted(extra)})"
+                f"table {self.name}: row has {len(row)} values, "
+                f"schema has {len(self.columns)} columns"
             )
-        pk = row[self.primary_key]
+        return row[self._pk_pos]
+
+    def put(self, row: tuple) -> int:
+        """Insert one row; returns its rowid."""
+        row = tuple(row)
+        pk = self._check(row)
         if pk in self._pk:
             raise ValueError(f"table {self.name}: duplicate key {pk!r}")
         rowid = self._next_rowid
         self._next_rowid += 1
-        stored = dict(row)
-        self._rows[rowid] = stored
+        self._rows[rowid] = row
         self._pk[pk] = rowid
         for idx in self._indexes.values():
-            idx.add(rowid, stored)
+            idx.add(rowid, row)
         return rowid
 
-    def get(self, pk: Hashable) -> Optional[Row]:
-        rowid = self._pk.get(pk)
-        return dict(self._rows[rowid]) if rowid is not None else None
+    def load(self, rows: Iterable[tuple]) -> int:
+        """Insert many rows at once, rebuilding indexes with one sort.
 
-    def delete(self, pk: Hashable) -> bool:
+        Row-at-a-time :meth:`put` pays one ``bisect.insort`` per new
+        index key — O(n) list movement each, O(n^2) for a load — which
+        caps the table around 10^5 rows.  A load stages every row,
+        links it into the index hash buckets, then re-sorts each key
+        list once: O(n log n) total, the difference between minutes and
+        milliseconds at 10^6-10^7 rows.  Arity and duplicate-key checks
+        are identical to :meth:`put`; on error nothing is applied.
+        """
+        staged: list[tuple] = []
+        seen: set = set()
+        for row in rows:
+            row = tuple(row)
+            pk = self._check(row)
+            if pk in self._pk or pk in seen:
+                raise ValueError(f"table {self.name}: duplicate key {pk!r}")
+            seen.add(pk)
+            staged.append(row)
+        del seen  # free the key set before the indexes grow
+        pk_pos = self._pk_pos
+        for row in staged:
+            rowid = self._next_rowid
+            self._next_rowid += 1
+            self._rows[rowid] = row
+            self._pk[row[pk_pos]] = rowid
+            for idx in self._indexes.values():
+                idx._link(rowid, idx.key_of(row))
+        for idx in self._indexes.values():
+            idx._sorted_keys = sorted(idx._hash)
+        return len(staged)
+
+    def row(self, pk: Hashable) -> Optional[tuple]:
+        """The stored row with primary key *pk*, or None."""
+        rowid = self._pk.get(pk)
+        return None if rowid is None else self._rows[rowid]
+
+    def pop(self, pk: Hashable) -> Optional[tuple]:
+        """Delete the row with primary key *pk*; return it, or None."""
         rowid = self._pk.pop(pk, None)
         if rowid is None:
-            return False
+            return None
         row = self._rows.pop(rowid)
         for idx in self._indexes.values():
             idx.remove(rowid, row)
-        return True
+        return row
+
+    def find(self, index_name: str, *key: Any) -> list[tuple]:
+        """Stored rows whose *index_name* key equals *key*, oldest first."""
+        rows = self._rows
+        return [rows[r] for r in self.index(index_name)._ids(key)]
+
+    def cursor(
+        self,
+        index_name: str,
+        prefix: Optional[Sequence[Any]] = None,
+        batch: int = 256,
+        gauge=None,
+    ) -> Iterator[tuple]:
+        """Stream stored rows in index-key order, one *batch* at a time.
+
+        The cursor walks the sorted key list positionally and refills a
+        buffer of at most *batch* rows as the caller consumes it,
+        flushing at exactly *batch* even inside a shared key's bucket.
+        *gauge* is an optional :class:`repro.tapedb.stream.BufferGauge`
+        credited/debited per batch, which is how bounded-memory tests
+        measure the cursor.
+
+        Cursors are **not** snapshots: do not mutate the table while one
+        is open (key positions would shift mid-walk).
+        """
+        if batch <= 0:
+            raise ValueError("batch must be positive")
+        idx = self.index(index_name)
+        keys = idx._sorted_keys
+        if prefix is not None:
+            prefix = tuple(prefix)
+            pos = bisect.bisect_left(keys, prefix)
+        else:
+            pos = 0
+        rows = self._rows
+        buf: list[tuple] = []
+        while pos < len(keys):
+            key = keys[pos]
+            if prefix is not None and key[: len(prefix)] != prefix:
+                break
+            pos += 1
+            for rowid in idx._ids(key):
+                buf.append(rows[rowid])
+                if len(buf) >= batch:
+                    if gauge is not None:
+                        gauge.add(len(buf))
+                    yield from buf
+                    if gauge is not None:
+                        gauge.sub(len(buf))
+                    buf = []
+        if buf:
+            if gauge is not None:
+                gauge.add(len(buf))
+            yield from buf
+            if gauge is not None:
+                gauge.sub(len(buf))
+
+    # -- the dict API ----------------------------------------------------
+    def _pack(self, row: Row) -> tuple:
+        if row.keys() != self._colset:
+            missing = self._colset - set(row)
+            extra = set(row) - self._colset
+            raise ValueError(
+                f"table {self.name}: bad columns (missing={sorted(missing)}, "
+                f"extra={sorted(extra)})"
+            )
+        return self._pack_dict(row)
+
+    def _dict(self, row: tuple) -> Row:
+        return dict(zip(self.columns, row))
+
+    def insert(self, row: Row) -> int:
+        return self.put(self._pack(row))
+
+    def bulk_load(self, rows: Iterable[Row]) -> int:
+        """:meth:`load` for dict rows (schema-checked like :meth:`insert`)."""
+        return self.load(map(self._pack, rows))
+
+    def get(self, pk: Hashable) -> Optional[Row]:
+        row = self.row(pk)
+        return None if row is None else self._dict(row)
+
+    def delete(self, pk: Hashable) -> bool:
+        return self.pop(pk) is not None
 
     def update(self, pk: Hashable, **changes: Any) -> bool:
         rowid = self._pk.get(pk)
         if rowid is None:
             return False
-        row = self._rows[rowid]
         if self.primary_key in changes and changes[self.primary_key] != pk:
             raise ValueError("cannot change the primary key")
+        unknown = changes.keys() - self._colset
+        if unknown:
+            raise ValueError(
+                f"table {self.name}: unknown columns {sorted(unknown)}"
+            )
+        old = self._rows[rowid]
+        new = tuple(changes.get(c, v) for c, v in zip(self.columns, old))
         for idx in self._indexes.values():
-            idx.remove(rowid, row)
-        row.update(changes)
+            idx.remove(rowid, old)
+        self._rows[rowid] = new
         for idx in self._indexes.values():
-            idx.add(rowid, row)
+            idx.add(rowid, new)
         return True
 
-    # -- queries -----------------------------------------------------------
     def select_eq(self, index_name: str, *key: Any) -> list[Row]:
-        idx = self.index(index_name)
-        return [dict(self._rows[r]) for r in idx.lookup(tuple(key))]
+        return [self._dict(row) for row in self.find(index_name, *key)]
 
     def select_prefix(self, index_name: str, *prefix: Any) -> list[Row]:
         idx = self.index(index_name)
-        return [dict(self._rows[r]) for r in idx.prefix(tuple(prefix))]
+        return [self._dict(self._rows[r]) for r in idx.prefix(tuple(prefix))]
 
     def select_range(
         self,
@@ -200,7 +349,7 @@ class Table:
         hi: Optional[tuple] = None,
     ) -> list[Row]:
         idx = self.index(index_name)
-        return [dict(self._rows[r]) for r in idx.range(lo, hi)]
+        return [self._dict(self._rows[r]) for r in idx.range(lo, hi)]
 
     def iter_index(
         self,
@@ -209,98 +358,16 @@ class Table:
         batch: int = 256,
         gauge=None,
     ) -> Iterator[Row]:
-        """Stream row copies in index-key order, one *batch* at a time.
-
-        The streaming counterpart of :meth:`select_prefix` /
-        :meth:`select_range`: instead of copying the whole result up
-        front, at most *batch* row copies are live at any moment (the
-        cursor walks the sorted key list positionally and refills its
-        buffer as the caller consumes it).  *gauge* is an optional
-        :class:`repro.tapedb.stream.BufferGauge` credited/debited per
-        batch, which is how bounded-memory tests measure the cursor.
-
-        Cursors are **not** snapshots: do not mutate the table while one
-        is open (key positions would shift mid-walk).
-        """
-        if batch <= 0:
-            raise ValueError("batch must be positive")
-        idx = self.index(index_name)
-        if prefix is not None:
-            prefix = tuple(prefix)
-            pos = bisect.bisect_left(idx._sorted_keys, prefix)
-        else:
-            pos = 0
-        buf: list[Row] = []
-        while pos < len(idx._sorted_keys):
-            key = idx._sorted_keys[pos]
-            if prefix is not None and key[: len(prefix)] != prefix:
-                break
-            pos += 1
-            for rowid in idx._hash.get(key, ()):
-                buf.append(dict(self._rows[rowid]))
-                if len(buf) >= batch:
-                    if gauge is not None:
-                        gauge.add(len(buf))
-                    for row in buf:
-                        yield row
-                    if gauge is not None:
-                        gauge.sub(len(buf))
-                    buf = []
-        if buf:
-            if gauge is not None:
-                gauge.add(len(buf))
-            for row in buf:
-                yield row
-            if gauge is not None:
-                gauge.sub(len(buf))
-
-    def bulk_load(self, rows: Iterable[Row]) -> int:
-        """Insert many rows at once, rebuilding indexes with one sort.
-
-        Row-at-a-time :meth:`insert` pays one ``bisect.insort`` per new
-        index key — O(n) list movement each, O(n^2) for a load — which
-        caps the table around 10^5 rows.  Bulk load stages every row,
-        appends to the index hash buckets, then re-sorts each key list
-        once: O(n log n) total, the difference between minutes and
-        milliseconds at 10^6-10^7 rows.  Schema and duplicate-key checks
-        are identical to :meth:`insert`; on error nothing is applied.
-        """
-        staged: list[Row] = []
-        seen_pks: set = set()
-        for row in rows:
-            missing = set(self.columns) - set(row)
-            extra = set(row) - set(self.columns)
-            if missing or extra:
-                raise ValueError(
-                    f"table {self.name}: bad columns (missing={sorted(missing)}, "
-                    f"extra={sorted(extra)})"
-                )
-            pk = row[self.primary_key]
-            if pk in self._pk or pk in seen_pks:
-                raise ValueError(f"table {self.name}: duplicate key {pk!r}")
-            seen_pks.add(pk)
-            staged.append(dict(row))
-        for row in staged:
-            rowid = self._next_rowid
-            self._next_rowid += 1
-            self._rows[rowid] = row
-            self._pk[row[self.primary_key]] = rowid
-            for idx in self._indexes.values():
-                key = idx.key_of(row)
-                bucket = idx._hash.get(key)
-                if bucket is None:
-                    idx._hash[key] = [rowid]
-                else:
-                    bucket.append(rowid)
-        for idx in self._indexes.values():
-            idx._sorted_keys = sorted(idx._hash)
-        return len(staged)
+        """:meth:`cursor` yielding row copies; the streaming counterpart
+        of :meth:`select_prefix` / :meth:`select_range`."""
+        return map(self._dict, self.cursor(index_name, prefix, batch, gauge))
 
     def scan(self, where: Optional[Callable[[Row], bool]] = None) -> Iterator[Row]:
         """Full table scan (what the un-indexed TSM DB forces you into)."""
-        for row in self._rows.values():
+        for stored in self._rows.values():
+            row = self._dict(stored)
             if where is None or where(row):
-                yield dict(row)
+                yield row
 
     def __len__(self) -> int:
         return len(self._rows)

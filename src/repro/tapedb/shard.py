@@ -42,12 +42,18 @@ from __future__ import annotations
 import bisect
 import hashlib
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.sim import Environment, Event
 from repro.tapedb.engine import Table
 from repro.tapedb.stream import merge_sorted
-from repro.tapedb.tapeindex import TapeIndexDB, TapeLocation
+from repro.tapedb.tapeindex import (
+    INDEX_COLUMNS,
+    TapeIndexDB,
+    TapeLocation,
+    location_values,
+)
 
 __all__ = [
     "LruCache",
@@ -195,16 +201,13 @@ class LruCache:
 
 #: columns of a shard table: the monolith's schema plus the global
 #: upsert sequence number that restores cross-shard tie-breaking
-_SHARD_COLUMNS = (
-    "object_id",
-    "path",
-    "filespace",
-    "volume",
-    "seq",
-    "nbytes",
-    "inserted_at",
-    "gseq",
+_SHARD_COLUMNS = INDEX_COLUMNS + ("gseq",)
+_PATH, _FILESPACE, _VOLUME, _SEQ, _GSEQ = (
+    _SHARD_COLUMNS.index(c)
+    for c in ("path", "filespace", "volume", "seq", "gseq")
 )
+#: the k-way merge key of a stored row
+_recall_key = itemgetter(_VOLUME, _SEQ, _GSEQ)
 
 
 class ShardedTapeIndex:
@@ -265,25 +268,13 @@ class ShardedTapeIndex:
     ) -> None:
         old_shard = self._oid_dir.get(object_id)
         if old_shard is not None:
-            old_row = self._tables[old_shard].get(object_id)
-            self._tables[old_shard].delete(object_id)
-            if old_row is not None:
-                self.cache.invalidate(
-                    ("path", old_row["filespace"], old_row["path"])
-                )
+            old = self._tables[old_shard].pop(object_id)
+            self.cache.invalidate(("path", old[_FILESPACE], old[_PATH]))
         shard = self.router.shard_of(volume)
         self._gseq += 1
-        self._tables[shard].insert(
-            {
-                "object_id": object_id,
-                "path": path,
-                "filespace": filespace,
-                "volume": volume,
-                "seq": seq,
-                "nbytes": nbytes,
-                "inserted_at": self.env.now,
-                "gseq": self._gseq,
-            }
+        self._tables[shard].put(
+            (object_id, path, filespace, volume, seq, nbytes, self.env.now,
+             self._gseq)
         )
         self._oid_dir[object_id] = shard
         self.cache.invalidate(("oid", object_id))
@@ -298,35 +289,33 @@ class ShardedTapeIndex:
         been upserted individually.
         """
         now = self.env.now
-        per_shard: list[list[dict]] = [[] for _ in range(self.n_shards)]
-        placed: list[tuple[int, int]] = []
+        shard_of = self.router.shard_of
+        per_shard: list[list[tuple]] = [[] for _ in range(self.n_shards)]
         for row in rows:
-            oid = row["object_id"]
+            values = location_values(row)
+            oid = values[0]
             if oid in self._oid_dir:
                 raise ValueError(f"bulk_load: object {oid} already indexed")
-            shard = self.router.shard_of(row["volume"])
             self._gseq += 1
-            per_shard[shard].append(
-                {**row, "inserted_at": now, "gseq": self._gseq}
+            per_shard[shard_of(values[_VOLUME])].append(
+                values + (now, self._gseq)
             )
-            placed.append((oid, shard))
         for table, shard_rows in zip(self._tables, per_shard):
             if shard_rows:
-                table.bulk_load(shard_rows)
-        for oid, shard in placed:
-            self._oid_dir[oid] = shard
-        return len(placed)
+                table.load(shard_rows)
+        for shard, shard_rows in enumerate(per_shard):
+            for row in shard_rows:
+                self._oid_dir[row[0]] = shard
+        return sum(map(len, per_shard))
 
     def remove(self, object_id: int) -> bool:
         shard = self._oid_dir.pop(object_id, None)
         if shard is None:
             return False
-        row = self._tables[shard].get(object_id)
-        ok = self._tables[shard].delete(object_id)
-        if row is not None:
-            self.cache.invalidate(("path", row["filespace"], row["path"]))
+        row = self._tables[shard].pop(object_id)
+        self.cache.invalidate(("path", row[_FILESPACE], row[_PATH]))
         self.cache.invalidate(("oid", object_id))
-        return ok
+        return True
 
     def __len__(self) -> int:
         return len(self._oid_dir)
@@ -338,8 +327,8 @@ class ShardedTapeIndex:
         if hit:
             return val
         shard = self._oid_dir.get(object_id)
-        row = self._tables[shard].get(object_id) if shard is not None else None
-        loc = self._row_to_loc(row) if row else None
+        row = self._tables[shard].row(object_id) if shard is not None else None
+        loc = TapeLocation.from_row(row) if row else None
         self.cache.put(key, loc)
         return loc
 
@@ -350,10 +339,10 @@ class ShardedTapeIndex:
             return val
         best = None
         for table in self._tables:
-            for row in table.select_eq("by_path", filespace, path):
-                if best is None or row["gseq"] > best["gseq"]:
+            for row in table.find("by_path", filespace, path):
+                if best is None or row[_GSEQ] > best[_GSEQ]:
                     best = row
-        loc = self._row_to_loc(best) if best else None
+        loc = TapeLocation.from_row(best) if best else None
         self.cache.put(key, loc)
         return loc
 
@@ -365,11 +354,11 @@ class ShardedTapeIndex:
     ) -> Iterator[TapeLocation]:
         """Stream one volume's objects in seq order — a single-shard scan."""
         table = self._tables[self.router.shard_of(volume)]
-        for row in table.iter_index(
+        for row in table.cursor(
             "by_volume", prefix=(volume,), batch=batch, gauge=gauge
         ):
             self.stream_rows += 1
-            yield self._row_to_loc(row)
+            yield TapeLocation.from_row(row)
 
     def iter_recall_order(
         self, batch: int = 256, gauge=None
@@ -384,14 +373,12 @@ class ShardedTapeIndex:
         duplicate-key ties in global insertion order).
         """
         cursors = [
-            table.iter_index("by_volume", batch=batch, gauge=gauge)
+            table.cursor("by_volume", batch=batch, gauge=gauge)
             for table in self._tables
         ]
-        for row in merge_sorted(
-            cursors, key=lambda r: (r["volume"], r["seq"], r["gseq"])
-        ):
+        for row in merge_sorted(cursors, key=_recall_key):
             self.stream_rows += 1
-            yield self._row_to_loc(row)
+            yield TapeLocation.from_row(row)
 
     # -- timed queries (what PFTool issues) --------------------------------
     def locate_many(self, filespace: str, paths: Sequence[str]) -> Event:
@@ -427,17 +414,6 @@ class ShardedTapeIndex:
         if not total:
             return 1.0
         return max(sizes) / (total / len(sizes))
-
-    @staticmethod
-    def _row_to_loc(row: dict) -> TapeLocation:
-        return TapeLocation(
-            object_id=row["object_id"],
-            path=row["path"],
-            filespace=row["filespace"],
-            volume=row["volume"],
-            seq=row["seq"],
-            nbytes=row["nbytes"],
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -14,7 +14,7 @@ so the scaled metadata plane streams instead:
   are already sorted by ``(volume, seq, gseq)``, yielding the global
   recall order while holding at most one batch per shard.
 
-Cursors themselves live on :meth:`repro.tapedb.engine.Table.iter_index`;
+Cursors themselves live on :meth:`repro.tapedb.engine.Table.cursor`;
 this module only holds the pieces shared between the monolithic and
 sharded indexes.
 """
@@ -31,8 +31,8 @@ class BufferGauge:
     """Live-entry accounting for streaming cursors.
 
     Cursors ``add`` a batch when they materialise it and ``sub`` it when
-    the batch is fully consumed, so ``live`` is the number of row copies
-    currently held across every cursor sharing the gauge and ``peak`` is
+    the batch is fully consumed, so ``live`` is the number of rows
+    currently buffered across every cursor sharing the gauge and ``peak`` is
     the high-water mark a bounded-memory proof asserts against.
     """
 

@@ -14,7 +14,8 @@ uses :meth:`TapeIndexDB.object_for_path`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.sim import Environment, Event
@@ -34,6 +35,34 @@ class TapeLocation:
     seq: int
     nbytes: int
 
+    @classmethod
+    def from_row(cls, row: tuple) -> "TapeLocation":
+        """The location a stored tape-index row holds.
+
+        Every tape-index schema starts with these fields in this order
+        (:data:`INDEX_COLUMNS`), so the row's first values are the
+        location's arguments.
+        """
+        return cls(*row[:_N_FIELDS])
+
+
+_LOCATION_COLUMNS = tuple(f.name for f in fields(TapeLocation))
+_N_FIELDS = len(_LOCATION_COLUMNS)
+#: the tape index schema: a location's fields, then the export time
+INDEX_COLUMNS = _LOCATION_COLUMNS + ("inserted_at",)
+_LOCATION_KEYS = frozenset(_LOCATION_COLUMNS)
+_location_values = itemgetter(*_LOCATION_COLUMNS)
+
+
+def location_values(row: dict) -> tuple:
+    """An ``upsert``-shaped dict's values in :data:`INDEX_COLUMNS` order."""
+    if row.keys() != _LOCATION_KEYS:
+        raise ValueError(
+            f"tape index row: expected columns {sorted(_LOCATION_KEYS)}, "
+            f"got {sorted(row)}"
+        )
+    return _location_values(row)
+
 
 class TapeIndexDB:
     """Indexed mirror of TSM's object->tape mapping.
@@ -47,17 +76,7 @@ class TapeIndexDB:
         self.env = env
         self.query_latency = query_latency
         self.table = Table(
-            "objects",
-            columns=(
-                "object_id",
-                "path",
-                "filespace",
-                "volume",
-                "seq",
-                "nbytes",
-                "inserted_at",
-            ),
-            primary_key="object_id",
+            "objects", columns=INDEX_COLUMNS, primary_key="object_id"
         )
         self.table.create_index("by_path", ("filespace", "path"))
         self.table.create_index("by_volume", ("volume", "seq"))
@@ -75,16 +94,8 @@ class TapeIndexDB:
         nbytes: int,
     ) -> None:
         self.table.delete(object_id)
-        self.table.insert(
-            {
-                "object_id": object_id,
-                "path": path,
-                "filespace": filespace,
-                "volume": volume,
-                "seq": seq,
-                "nbytes": nbytes,
-                "inserted_at": self.env.now,
-            }
+        self.table.put(
+            (object_id, path, filespace, volume, seq, nbytes, self.env.now)
         )
 
     def bulk_load(self, rows: Iterable[dict]) -> int:
@@ -95,10 +106,8 @@ class TapeIndexDB:
         is stamped here.  Object ids must be new — bulk load is for
         seeding/import, not for refresh.
         """
-        now = self.env.now
-        return self.table.bulk_load(
-            {**row, "inserted_at": now} for row in rows
-        )
+        now = (self.env.now,)
+        return self.table.load(location_values(row) + now for row in rows)
 
     def remove(self, object_id: int) -> bool:
         return self.table.delete(object_id)
@@ -108,12 +117,12 @@ class TapeIndexDB:
 
     # -- instant (logic-only) queries ------------------------------------
     def location_of(self, object_id: int) -> Optional[TapeLocation]:
-        row = self.table.get(object_id)
-        return self._row_to_loc(row) if row else None
+        row = self.table.row(object_id)
+        return TapeLocation.from_row(row) if row else None
 
     def object_for_path(self, filespace: str, path: str) -> Optional[TapeLocation]:
-        rows = self.table.select_eq("by_path", filespace, path)
-        return self._row_to_loc(rows[-1]) if rows else None
+        rows = self.table.find("by_path", filespace, path)
+        return TapeLocation.from_row(rows[-1]) if rows else None
 
     def objects_on_volume(self, volume: str) -> list[TapeLocation]:
         return list(self.iter_objects_on_volume(volume))
@@ -122,10 +131,10 @@ class TapeIndexDB:
         self, volume: str, batch: int = 256, gauge=None
     ) -> Iterator[TapeLocation]:
         """Stream one volume's objects in seq order (bounded memory)."""
-        for row in self.table.iter_index(
+        for row in self.table.cursor(
             "by_volume", prefix=(volume,), batch=batch, gauge=gauge
         ):
-            yield self._row_to_loc(row)
+            yield TapeLocation.from_row(row)
 
     def iter_recall_order(
         self, batch: int = 256, gauge=None
@@ -135,12 +144,12 @@ class TapeIndexDB:
         The streaming recall sort: identical global order to flattening
         :meth:`sort_tape_order` over every location (volumes ascending,
         seq ascending within a volume, insertion order on seq ties), but
-        at most *batch* row copies are live at any moment instead of the
+        at most *batch* rows are buffered at any moment instead of the
         full result — a caller that stops after the first tape has paid
         for one batch, not the population.
         """
-        for row in self.table.iter_index("by_volume", batch=batch, gauge=gauge):
-            yield self._row_to_loc(row)
+        for row in self.table.cursor("by_volume", batch=batch, gauge=gauge):
+            yield TapeLocation.from_row(row)
 
     # -- timed queries (what PFTool issues) --------------------------------
     def locate_many(
@@ -176,17 +185,6 @@ class TapeIndexDB:
         for vol in by_vol:
             by_vol[vol].sort(key=lambda l: l.seq)
         return dict(sorted(by_vol.items()))
-
-    @staticmethod
-    def _row_to_loc(row: dict) -> TapeLocation:
-        return TapeLocation(
-            object_id=row["object_id"],
-            path=row["path"],
-            filespace=row["filespace"],
-            volume=row["volume"],
-            seq=row["seq"],
-            nbytes=row["nbytes"],
-        )
 
 
 class TsmDbExporter:

@@ -224,6 +224,20 @@ def test_manager_crash_then_resume_is_byte_identical():
     assert stats2.bytes_copied < TOTAL_BYTES
 
 
+def test_crash_after_completion_leaves_stats_alone():
+    env = Environment()
+    system = small_site(env)
+    seed_scratch(env, system, {f"/d/f{i}": MB for i in range(3)})
+    job = system.archive("/d", "/arch", cfg_small())
+    env.call_later(1000, job.crash)
+    stats = env.run(job.done)
+    assert not stats.aborted
+    env.run()  # the late crash fires here
+    assert env.now >= 1000
+    assert stats.aborted is False
+    assert stats.abort_reason == ""
+
+
 def test_worker_crash_watchdog_abort_then_resume():
     duration, want_sizes = _oracle_archive()
 

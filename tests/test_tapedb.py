@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.tapedb import Table, TapeIndexDB, TapeLocation
+from repro.tapedb import BufferGauge, Table, TapeIndexDB, TapeLocation
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,128 @@ def test_index_consistent_with_scan(ops):
         via_index = sorted(r["id"] for r in t.select_eq("by_a", a))
         via_scan = sorted(r["id"] for r in t.scan(lambda r: r["a"] == a))
         assert via_index == via_scan
+
+
+# -- the row store against a plain-dict model ----------------------------
+
+# (op, pk, a, b): small domains so index keys collide and buckets grow
+# from a bare rowid to a list and back
+ROW_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "update_a", "update_b"]),
+        st.integers(0, 12),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    ),
+    max_size=80,
+)
+
+
+class _RecordingGauge(BufferGauge):
+    def __init__(self):
+        super().__init__()
+        self.adds = []
+
+    def add(self, n):
+        self.adds.append(n)
+        super().add(n)
+
+
+def _model_apply(t, model, op, pk, a, b):
+    """Apply one op to the table and the model; True when it wrote a row."""
+    if op == "insert":
+        if pk in model:
+            return False
+        t.insert({"id": pk, "a": a, "b": b})
+        model[pk] = {"id": pk, "a": a, "b": b}
+        return True
+    if op == "delete":
+        assert t.delete(pk) == (model.pop(pk, None) is not None)
+        return False
+    col, value = ("a", a) if op == "update_a" else ("b", b)
+    ok = t.update(pk, **{col: value})
+    assert ok == (pk in model)
+    if ok:
+        model[pk][col] = value
+    return ok
+
+
+def _key_counts(model, cols):
+    counts: dict = {}
+    for r in model.values():
+        key = tuple(r[c] for c in cols)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _model_order(model, stamp, cols, keep=lambda key: True):
+    """The model's rows in index order: by key, then by last write (an
+    insert or update appends the row to the end of every bucket)."""
+    rows = [r for r in model.values() if keep(tuple(r[c] for c in cols))]
+    rows.sort(key=lambda r: (tuple(r[c] for c in cols), stamp[r["id"]]))
+    return rows
+
+
+INDEXES = (("by_a", ("a",)), ("by_ab", ("a", "b")))
+
+
+@given(
+    ROW_OPS,
+    st.integers(1, 4),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_row_store_matches_dict_model(ops, batch, lo, hi):
+    t = make_table()
+    model: dict = {}
+    stamp: dict = {}
+    for i, (op, pk, a, b) in enumerate(ops):
+        if _model_apply(t, model, op, pk, a, b):
+            stamp[pk] = i
+        # buckets: a bare rowid for a unique key, a list only when shared
+        for name, cols in INDEXES:
+            idx = t.index(name)
+            counts = _key_counts(model, cols)
+            assert idx._sorted_keys == sorted(counts)
+            assert len(idx) == len(counts)
+            for key, n in counts.items():
+                assert (type(idx._hash[key]) is int) == (n == 1)
+                assert len(idx.lookup(key)) == n
+
+    for name, cols in INDEXES:
+        for key in _key_counts(model, cols):
+            want = _model_order(model, stamp, cols, lambda k: k == key)
+            assert t.select_eq(name, *key) == want
+            found = t.find(name, *key)
+            assert [dict(zip(t.columns, row)) for row in found] == want
+
+        want_all = _model_order(model, stamp, cols)
+        gauge = _RecordingGauge()
+        assert list(t.iter_index(name, batch=batch, gauge=gauge)) == want_all
+        # the cursor flushes at exactly *batch* rows, even inside a bucket
+        assert sum(gauge.adds) == len(want_all)
+        assert all(n == batch for n in gauge.adds[:-1])
+        assert gauge.live == 0
+
+    for a in range(3):
+        want = _model_order(model, stamp, ("a", "b"), lambda k: k[0] == a)
+        assert t.select_prefix("by_ab", a) == want
+        assert list(t.iter_index("by_ab", prefix=(a,), batch=batch)) == want
+    want = _model_order(model, stamp, ("a", "b"), lambda k: lo <= k < hi)
+    assert t.select_range("by_ab", lo, hi) == want
+
+    # every returned row is the caller's own copy
+    returned = [t.get(pk) for pk in model]
+    returned += t.select_eq("by_a", 0) + t.select_prefix("by_ab", 1)
+    returned += t.select_range("by_ab", lo, hi) + list(t.scan())
+    returned += list(t.iter_index("by_ab", batch=batch))
+    for row in returned:
+        row["a"] = row["b"] = "mutated"
+    assert sorted(t.scan(), key=lambda r: r["id"]) == [
+        model[pk] for pk in sorted(model)
+    ]
+    assert t.select_eq("by_a", "mutated") == []
 
 
 # ---------------------------------------------------------------------------

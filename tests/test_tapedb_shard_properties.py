@@ -63,7 +63,7 @@ def _oracle(rows, removes=()):
     env = Environment()
     mono = TapeIndexDB(env)
     _populate(mono, rows, removes)
-    locs = [mono._row_to_loc(r) for r in mono.table.scan()]
+    locs = [mono.location_of(r["object_id"]) for r in mono.table.scan()]
     flat = [
         loc
         for run in TapeIndexDB.sort_tape_order(locs).values()

@@ -99,7 +99,7 @@ class ShardedIndexMachine(RuleBasedStateMachine):
             self.model.items(), key=lambda kv: kv[1][5]
         ):
             mono.upsert(oid, path, fs, vol, seq, nb)
-        locs = [mono._row_to_loc(r) for r in mono.table.scan()]
+        locs = [mono.location_of(r["object_id"]) for r in mono.table.scan()]
         want = [
             loc.object_id
             for run in TapeIndexDB.sort_tape_order(locs).values()

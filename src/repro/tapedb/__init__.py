@@ -12,8 +12,8 @@ export the paper ran:
 
 * :class:`Table` / :class:`Index` — a small in-memory table engine that
   stores each row once, as a tuple in column order, with hash +
-  sorted-range indexes, predicate scans, streaming cursors
-  (:meth:`Table.cursor`) and an O(n log n) bulk :meth:`Table.load`; its
+  sorted-range indexes, predicate scans, batch streams
+  (:meth:`Table.batches`) and an O(n log n) bulk :meth:`Table.load`; its
   dict API copies rows in and out, while the tape indexes read the
   stored tuples directly;
 * :class:`TapeIndexDB` — the `filespace -> (volume, seq, object id)`
@@ -22,7 +22,7 @@ export the paper ran:
 * :class:`ShardedTapeIndex` — the same surface sharded by volume range
   behind a router (:class:`VolumeRangeRouter` /
   :class:`TokenRangeRouter`) with an :class:`LruCache` of hot entries
-  and a bounded-memory k-way merge for recall order — the 10^7-10^8
+  and a bounded-memory k-way run merge for recall order — the 10^7-10^8
   file tier (see DESIGN.md "Metadata plane");
 * :class:`TsmDbExporter` — the periodic export job from a TSM server;
 * :class:`BufferGauge` — live-entry accounting that lets tests *prove*
@@ -36,7 +36,7 @@ from repro.tapedb.shard import (
     TokenRangeRouter,
     VolumeRangeRouter,
 )
-from repro.tapedb.stream import BufferGauge, merge_sorted
+from repro.tapedb.stream import BufferGauge
 from repro.tapedb.tapeindex import TapeIndexDB, TapeLocation, TsmDbExporter
 
 __all__ = [
@@ -50,5 +50,4 @@ __all__ = [
     "TokenRangeRouter",
     "TsmDbExporter",
     "VolumeRangeRouter",
-    "merge_sorted",
 ]

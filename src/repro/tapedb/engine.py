@@ -9,8 +9,9 @@ predicate filters, deletes by key.
 
 The table has one core that speaks stored tuples — :meth:`Table.put`,
 :meth:`Table.load`, :meth:`Table.row`, :meth:`Table.pop`,
-:meth:`Table.find` and :meth:`Table.cursor` — which hands out the
-stored rows themselves (tuples are immutable, so no copy is needed).
+:meth:`Table.find`, :meth:`Table.newest`, :meth:`Table.batches` and
+:meth:`Table.cursor` over it — which hands out the stored rows
+themselves (tuples are immutable, so no copy is needed).
 The dict API (:meth:`Table.insert`, :meth:`Table.bulk_load`,
 :meth:`Table.get`, the ``select_*`` queries, :meth:`Table.iter_index`,
 :meth:`Table.scan`) is a thin layer over that core: it takes
@@ -20,6 +21,7 @@ The dict API (:meth:`Table.insert`, :meth:`Table.bulk_load`,
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -236,6 +238,91 @@ class Table:
         rows = self._rows
         return [rows[r] for r in self.index(index_name)._ids(key)]
 
+    def newest(self, index_name: str) -> Callable[[tuple], Optional[tuple]]:
+        """A point lookup ``key -> stored row`` over *index_name*.
+
+        The returned function answers the most recently written row
+        whose key equals *key* (the last of :meth:`find`), or None.  It
+        is bound to the index once, so each call is one hash probe: the
+        form for a lookup repeated over many tables or many keys.
+        """
+        buckets = self.index(index_name)._hash
+        rows = self._rows
+
+        def newest(key: tuple) -> Optional[tuple]:
+            bucket = buckets.get(key)
+            if bucket is None:
+                return None
+            return rows[bucket if bucket.__class__ is int else bucket[-1]]
+
+        return newest
+
+    def batches(
+        self,
+        index_name: str,
+        prefix: Optional[Sequence[Any]] = None,
+        batch: int = 256,
+        gauge=None,
+    ) -> Iterator[list[tuple]]:
+        """Stream stored rows in index-key order as lists of *batch* rows.
+
+        The walk is positional over the sorted key list: each step takes
+        the next keys' hash buckets in one slice, so a run of unique keys
+        costs no per-row Python work.  Every list holds exactly *batch*
+        rows but the last, even when a batch boundary falls inside a
+        shared key's bucket.  *gauge* is an optional
+        :class:`repro.tapedb.stream.BufferGauge`, credited when a batch
+        is handed out and debited when the caller asks for the next one,
+        which is how bounded-memory tests measure the stream.
+
+        Streams are **not** snapshots: do not mutate the table while one
+        is open (key positions would shift mid-walk).
+        """
+        if batch <= 0:
+            raise ValueError("batch must be positive")
+        idx = self.index(index_name)
+        keys, buckets, rows = idx._sorted_keys, idx._hash, self._rows
+        if prefix is None:
+            pos, stop = 0, len(keys)
+        else:
+            prefix = tuple(prefix)
+            n = len(prefix)
+            pos = bisect.bisect_left(keys, prefix)
+            stop = bisect.bisect_right(keys, prefix, pos, key=lambda k: k[:n])
+        buf: list[tuple] = []
+        shared: Sequence[int] = ()  # a shared bucket's rowids not yet taken
+        taken = 0
+        while pos < stop or taken < len(shared):
+            need = batch - len(buf)
+            if taken < len(shared):
+                buf += map(rows.__getitem__, shared[taken:taken + need])
+                taken += need
+            else:
+                end = min(pos + need, stop)
+                ids = list(map(buckets.__getitem__, keys[pos:end]))
+                if list in map(type, ids):
+                    # stop before the first shared bucket; take it next
+                    i = list(map(type, ids)).index(list)
+                    shared, taken = ids[i], 0
+                    del ids[i:]
+                    pos += i + 1
+                else:
+                    pos += len(ids)
+                buf += map(rows.__getitem__, ids)
+            if len(buf) == batch:
+                if gauge is not None:
+                    gauge.add(batch)
+                yield buf
+                if gauge is not None:
+                    gauge.sub(batch)
+                buf = []
+        if buf:
+            if gauge is not None:
+                gauge.add(len(buf))
+            yield buf
+            if gauge is not None:
+                gauge.sub(len(buf))
+
     def cursor(
         self,
         index_name: str,
@@ -243,49 +330,11 @@ class Table:
         batch: int = 256,
         gauge=None,
     ) -> Iterator[tuple]:
-        """Stream stored rows in index-key order, one *batch* at a time.
-
-        The cursor walks the sorted key list positionally and refills a
-        buffer of at most *batch* rows as the caller consumes it,
-        flushing at exactly *batch* even inside a shared key's bucket.
-        *gauge* is an optional :class:`repro.tapedb.stream.BufferGauge`
-        credited/debited per batch, which is how bounded-memory tests
-        measure the cursor.
-
-        Cursors are **not** snapshots: do not mutate the table while one
-        is open (key positions would shift mid-walk).
-        """
-        if batch <= 0:
-            raise ValueError("batch must be positive")
-        idx = self.index(index_name)
-        keys = idx._sorted_keys
-        if prefix is not None:
-            prefix = tuple(prefix)
-            pos = bisect.bisect_left(keys, prefix)
-        else:
-            pos = 0
-        rows = self._rows
-        buf: list[tuple] = []
-        while pos < len(keys):
-            key = keys[pos]
-            if prefix is not None and key[: len(prefix)] != prefix:
-                break
-            pos += 1
-            for rowid in idx._ids(key):
-                buf.append(rows[rowid])
-                if len(buf) >= batch:
-                    if gauge is not None:
-                        gauge.add(len(buf))
-                    yield from buf
-                    if gauge is not None:
-                        gauge.sub(len(buf))
-                    buf = []
-        if buf:
-            if gauge is not None:
-                gauge.add(len(buf))
-            yield from buf
-            if gauge is not None:
-                gauge.sub(len(buf))
+        """:meth:`batches`, flattened: stored rows one at a time, in
+        index-key order, with at most *batch* of them buffered."""
+        return chain.from_iterable(
+            self.batches(index_name, prefix, batch, gauge)
+        )
 
     # -- the dict API ----------------------------------------------------
     def _pack(self, row: Row) -> tuple:

@@ -47,7 +47,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.sim import Environment, Event
 from repro.tapedb.engine import Table
-from repro.tapedb.stream import merge_sorted
+from repro.tapedb.stream import merge_runs
 from repro.tapedb.tapeindex import (
     INDEX_COLUMNS,
     TapeIndexDB,
@@ -242,6 +242,8 @@ class ShardedTapeIndex:
             t.create_index("by_path", ("filespace", "path"))
             t.create_index("by_volume", ("volume", "seq"))
             self._tables.append(t)
+        #: per shard: (filespace, path) -> that shard's newest row
+        self._path_rows = [t.newest("by_path") for t in self._tables]
         #: object id -> shard index (the directory; O(1) point lookups)
         self._oid_dir: dict[int, int] = {}
         #: global upsert sequence (monolith insertion order, restored)
@@ -283,30 +285,42 @@ class ShardedTapeIndex:
     def bulk_load(self, rows: Iterable[dict]) -> int:
         """Load many ``upsert``-shaped rows at once (one sort per shard).
 
-        Object ids must be new (seeding/import, like
+        Object ids must be new and distinct (seeding/import, like
         :meth:`TapeIndexDB.bulk_load`); rows are stamped with ``gseq``
         in iteration order so ordering ties resolve as if each row had
-        been upserted individually.
+        been upserted individually.  Every row is checked before any
+        shard is touched: on error nothing is applied.  The object
+        directory doubles as the duplicate check, so a load builds no
+        second set of ids.
         """
         now = self.env.now
         shard_of = self.router.shard_of
+        oid_dir = self._oid_dir
+        gseq = self._gseq
         per_shard: list[list[tuple]] = [[] for _ in range(self.n_shards)]
-        for row in rows:
-            values = location_values(row)
-            oid = values[0]
-            if oid in self._oid_dir:
-                raise ValueError(f"bulk_load: object {oid} already indexed")
-            self._gseq += 1
-            per_shard[shard_of(values[_VOLUME])].append(
-                values + (now, self._gseq)
-            )
+        try:
+            for row in rows:
+                values = location_values(row)
+                oid = values[0]
+                if oid in oid_dir:
+                    raise ValueError(
+                        f"bulk_load: object {oid} already indexed or repeated"
+                    )
+                shard = shard_of(values[_VOLUME])
+                oid_dir[oid] = shard
+                gseq += 1
+                per_shard[shard].append(values + (now, gseq))
+        except BaseException:
+            for shard_rows in per_shard:
+                for row in shard_rows:
+                    del oid_dir[row[0]]
+            raise
         for table, shard_rows in zip(self._tables, per_shard):
             if shard_rows:
                 table.load(shard_rows)
-        for shard, shard_rows in enumerate(per_shard):
-            for row in shard_rows:
-                self._oid_dir[row[0]] = shard
-        return sum(map(len, per_shard))
+        loaded = gseq - self._gseq
+        self._gseq = gseq
+        return loaded
 
     def remove(self, object_id: int) -> bool:
         shard = self._oid_dir.pop(object_id, None)
@@ -337,11 +351,13 @@ class ShardedTapeIndex:
         hit, val = self.cache.get(key)
         if hit:
             return val
+        # a shard's newest row for a path is its highest gseq
         best = None
-        for table in self._tables:
-            for row in table.find("by_path", filespace, path):
-                if best is None or row[_GSEQ] > best[_GSEQ]:
-                    best = row
+        where = (filespace, path)
+        for path_row in self._path_rows:
+            row = path_row(where)
+            if row is not None and (best is None or row[_GSEQ] > best[_GSEQ]):
+                best = row
         loc = TapeLocation.from_row(best) if best else None
         self.cache.put(key, loc)
         return loc
@@ -354,31 +370,34 @@ class ShardedTapeIndex:
     ) -> Iterator[TapeLocation]:
         """Stream one volume's objects in seq order — a single-shard scan."""
         table = self._tables[self.router.shard_of(volume)]
-        for row in table.cursor(
+        for rows in table.batches(
             "by_volume", prefix=(volume,), batch=batch, gauge=gauge
         ):
-            self.stream_rows += 1
-            yield TapeLocation.from_row(row)
+            self.stream_rows += len(rows)
+            yield from map(TapeLocation.from_row, rows)
 
     def iter_recall_order(
         self, batch: int = 256, gauge=None
     ) -> Iterator[TapeLocation]:
         """Stream the whole index in global (volume, seq) order.
 
-        A k-way ``heapq`` merge over per-shard ``by_volume`` cursors.
-        Each cursor materialises at most *batch* rows, so the merge
-        holds at most ``n_shards * batch`` live entries no matter the
-        population — the bounded-memory recall sort.  Order is
-        byte-identical to the monolithic index (``gseq`` breaks
-        duplicate-key ties in global insertion order).
+        A :func:`~repro.tapedb.stream.merge_runs` k-way merge over the
+        shards' ``by_volume`` batch streams.  Each stream materialises
+        at most *batch* rows, so the merge holds at most
+        ``n_shards * batch`` live entries no matter the population —
+        the bounded-memory recall sort.  The merge hands out runs of
+        one shard's batch (whole batches when shards hold disjoint
+        volume ranges), and each run becomes locations in one ``map``.
+        Order is byte-identical to the monolithic index (``gseq``
+        breaks duplicate-key ties in global insertion order).
         """
-        cursors = [
-            table.cursor("by_volume", batch=batch, gauge=gauge)
+        streams = [
+            table.batches("by_volume", batch=batch, gauge=gauge)
             for table in self._tables
         ]
-        for row in merge_sorted(cursors, key=_recall_key):
-            self.stream_rows += 1
-            yield TapeLocation.from_row(row)
+        for run in merge_runs(streams, _recall_key):
+            self.stream_rows += len(run)
+            yield from map(TapeLocation.from_row, run)
 
     # -- timed queries (what PFTool issues) --------------------------------
     def locate_many(self, filespace: str, paths: Sequence[str]) -> Event:

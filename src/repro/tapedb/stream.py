@@ -6,25 +6,26 @@ the whole dict of sorted lists).  At 10^7-10^8 files that is the
 catalog-becomes-the-bottleneck failure mode CASTOR's evolution documents,
 so the scaled metadata plane streams instead:
 
-* :class:`BufferGauge` — counts entries held live by open cursors and
+* :class:`BufferGauge` — counts entries held live by open streams and
   records the high-water mark, which is how the bounded-memory claim is
-  *asserted*, not assumed (tests wrap cursors in a gauge and check
+  *asserted*, not assumed (tests wrap streams in a gauge and check
   ``peak <= shards * batch``);
-* :func:`merge_locations` — heapq k-way merge of per-shard cursors that
-  are already sorted by ``(volume, seq, gseq)``, yielding the global
-  recall order while holding at most one batch per shard.
+* :func:`merge_runs` — k-way merge of per-shard batch streams that are
+  each already sorted, yielding the global order as runs (slices of one
+  input's batch) while holding at most one batch per input.
 
-Cursors themselves live on :meth:`repro.tapedb.engine.Table.cursor`;
-this module only holds the pieces shared between the monolithic and
-sharded indexes.
+The batch streams themselves come from
+:meth:`repro.tapedb.engine.Table.batches`; this module only holds the
+pieces shared between the monolithic and sharded indexes.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Optional
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterable, Iterator, Sequence
 
-__all__ = ["BufferGauge", "merge_sorted"]
+__all__ = ["BufferGauge", "merge_runs"]
 
 
 class BufferGauge:
@@ -57,15 +58,52 @@ class BufferGauge:
         return f"<BufferGauge live={self.live} peak={self.peak}>"
 
 
-def merge_sorted(
-    iterables: Iterable[Iterator],
-    key: Optional[Callable] = None,
-) -> Iterator:
-    """K-way merge of already-sorted iterators (thin heapq.merge wrapper).
+def merge_runs(
+    streams: Iterable[Iterable[Sequence]], key: Callable
+) -> Iterator[Sequence]:
+    """Stable k-way merge of sorted batch streams, yielded as runs.
 
-    ``heapq.merge`` is lazy and stable: it holds exactly one element per
-    input plus whatever batch each input generator has materialised, so a
-    merge over shard cursors with batch size *b* never holds more than
-    ``shards * b`` entries — the invariant :class:`BufferGauge` checks.
+    Each stream yields non-empty batches (sequences) whose items are
+    sorted by *key* across the whole stream.  Flattened, the runs are
+    exactly ``heapq.merge(*flattened_streams, key=key)``: items in
+    *key* order, ties taken from the earlier stream first.
+
+    The merge keeps a heap of each stream's head item.  At each step it
+    yields the longest run of the smallest head's batch whose items
+    still sort before the runner-up head (found by bisection), so
+    streams that do not interleave — range-partitioned shards — come
+    out as whole batches, and interleaved streams still merge in short
+    runs.  Like ``heapq.merge`` it primes every stream's first batch
+    and asks a stream for its next batch only after the caller has
+    consumed the previous one, so it holds at most one batch per
+    stream.
     """
-    return heapq.merge(*iterables, key=key)
+    heap = []
+    for order, stream in enumerate(streams):
+        batches = iter(stream)
+        batch = next(batches, None)
+        if batch is not None:
+            heap.append([key(batch[0]), order, batch, 0, batches])
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        _, order, batch, pos, batches = heap[0]
+        bound, bound_order = min(heap[1:3])[:2]
+        # ties go to the earlier stream, so the run may include the
+        # runner-up's key only when this stream is the earlier one
+        last = key(batch[-1])
+        if last < bound or (last == bound and order < bound_order):
+            end = len(batch)
+        else:
+            cut = bisect_right if order < bound_order else bisect_left
+            end = cut(batch, bound, pos, key=key)
+        yield batch if pos == 0 and end == len(batch) else batch[pos:end]
+        if end == len(batch):
+            batch, end = next(batches, None), 0
+            if batch is None:
+                heapq.heappop(heap)
+                continue
+        heapq.heapreplace(heap, [key(batch[end]), order, batch, end, batches])
+    if heap:
+        _, _, batch, pos, batches = heap[0]
+        yield batch[pos:] if pos else batch
+        yield from batches

@@ -14,9 +14,8 @@ uses :meth:`TapeIndexDB.object_for_path`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.sim import Environment, Event
 from repro.tapedb.engine import Table
@@ -24,9 +23,8 @@ from repro.tapedb.engine import Table
 __all__ = ["TapeIndexDB", "TapeLocation", "TsmDbExporter"]
 
 
-@dataclass(frozen=True)
-class TapeLocation:
-    """Where one object lives on tape."""
+class TapeLocation(NamedTuple):
+    """Where one object lives on tape (a tuple of these six fields)."""
 
     object_id: int
     path: str
@@ -41,12 +39,12 @@ class TapeLocation:
 
         Every tape-index schema starts with these fields in this order
         (:data:`INDEX_COLUMNS`), so the row's first values are the
-        location's arguments.
+        location itself.
         """
-        return cls(*row[:_N_FIELDS])
+        return tuple.__new__(cls, row[:_N_FIELDS])
 
 
-_LOCATION_COLUMNS = tuple(f.name for f in fields(TapeLocation))
+_LOCATION_COLUMNS = TapeLocation._fields
 _N_FIELDS = len(_LOCATION_COLUMNS)
 #: the tape index schema: a location's fields, then the export time
 INDEX_COLUMNS = _LOCATION_COLUMNS + ("inserted_at",)
@@ -80,6 +78,7 @@ class TapeIndexDB:
         )
         self.table.create_index("by_path", ("filespace", "path"))
         self.table.create_index("by_volume", ("volume", "seq"))
+        self._path_row = self.table.newest("by_path")
         self.queries = 0
         env.metrics.add("tapedb.queries", lambda: self.queries)
 
@@ -121,8 +120,8 @@ class TapeIndexDB:
         return TapeLocation.from_row(row) if row else None
 
     def object_for_path(self, filespace: str, path: str) -> Optional[TapeLocation]:
-        rows = self.table.find("by_path", filespace, path)
-        return TapeLocation.from_row(rows[-1]) if rows else None
+        row = self._path_row((filespace, path))
+        return TapeLocation.from_row(row) if row else None
 
     def objects_on_volume(self, volume: str) -> list[TapeLocation]:
         return list(self.iter_objects_on_volume(volume))
@@ -131,10 +130,10 @@ class TapeIndexDB:
         self, volume: str, batch: int = 256, gauge=None
     ) -> Iterator[TapeLocation]:
         """Stream one volume's objects in seq order (bounded memory)."""
-        for row in self.table.cursor(
+        for rows in self.table.batches(
             "by_volume", prefix=(volume,), batch=batch, gauge=gauge
         ):
-            yield TapeLocation.from_row(row)
+            yield from map(TapeLocation.from_row, rows)
 
     def iter_recall_order(
         self, batch: int = 256, gauge=None
@@ -146,10 +145,12 @@ class TapeIndexDB:
         seq ascending within a volume, insertion order on seq ties), but
         at most *batch* rows are buffered at any moment instead of the
         full result — a caller that stops after the first tape has paid
-        for one batch, not the population.
+        for one batch, not the population.  Rows leave the table's
+        ``by_volume`` stream a batch at a time and become locations
+        there, one ``map`` per batch.
         """
-        for row in self.table.cursor("by_volume", batch=batch, gauge=gauge):
-            yield TapeLocation.from_row(row)
+        for rows in self.table.batches("by_volume", batch=batch, gauge=gauge):
+            yield from map(TapeLocation.from_row, rows)
 
     # -- timed queries (what PFTool issues) --------------------------------
     def locate_many(

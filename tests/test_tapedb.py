@@ -135,7 +135,7 @@ def test_index_consistent_with_scan(ops):
 # from a bare rowid to a list and back
 ROW_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "delete", "update_a", "update_b"]),
+        st.sampled_from(["insert", "load", "delete", "update_a", "update_b"]),
         st.integers(0, 12),
         st.integers(0, 2),
         st.integers(0, 2),
@@ -155,22 +155,34 @@ class _RecordingGauge(BufferGauge):
 
 
 def _model_apply(t, model, op, pk, a, b):
-    """Apply one op to the table and the model; True when it wrote a row."""
+    """Apply one op to the table and the model; the keys it wrote, in
+    write order."""
     if op == "insert":
         if pk in model:
-            return False
+            return []
         t.insert({"id": pk, "a": a, "b": b})
         model[pk] = {"id": pk, "a": a, "b": b}
-        return True
+        return [pk]
+    if op == "load":
+        # two rows in one load; a key already present fails it whole
+        rows = [{"id": pk, "a": a, "b": b},
+                {"id": (pk + 1) % 13, "a": b, "b": a}]
+        if any(r["id"] in model for r in rows):
+            with pytest.raises(ValueError, match="duplicate key"):
+                t.bulk_load(rows)
+            return []
+        assert t.bulk_load(rows) == 2
+        model.update((r["id"], dict(r)) for r in rows)
+        return [r["id"] for r in rows]
     if op == "delete":
         assert t.delete(pk) == (model.pop(pk, None) is not None)
-        return False
+        return []
     col, value = ("a", a) if op == "update_a" else ("b", b)
     ok = t.update(pk, **{col: value})
     assert ok == (pk in model)
     if ok:
         model[pk][col] = value
-    return ok
+    return [pk] if ok else []
 
 
 def _key_counts(model, cols):
@@ -204,8 +216,9 @@ def test_row_store_matches_dict_model(ops, batch, lo, hi):
     model: dict = {}
     stamp: dict = {}
     for i, (op, pk, a, b) in enumerate(ops):
-        if _model_apply(t, model, op, pk, a, b):
-            stamp[pk] = i
+        for j, written in enumerate(_model_apply(t, model, op, pk, a, b)):
+            stamp[written] = (i, j)
+        assert len(t) == len(model)
         # buckets: a bare rowid for a unique key, a list only when shared
         for name, cols in INDEXES:
             idx = t.index(name)
@@ -222,6 +235,8 @@ def test_row_store_matches_dict_model(ops, batch, lo, hi):
             assert t.select_eq(name, *key) == want
             found = t.find(name, *key)
             assert [dict(zip(t.columns, row)) for row in found] == want
+            assert t.newest(name)(key) is found[-1]
+        assert t.newest(name)(("absent",) * len(cols)) is None
 
         want_all = _model_order(model, stamp, cols)
         gauge = _RecordingGauge()
@@ -371,3 +386,49 @@ def test_bulk_load_matches_upserts():
     assert list(a.iter_recall_order()) == list(b.iter_recall_order())
     with pytest.raises(Exception):
         b.bulk_load([rows[0]])  # duplicate object id
+
+
+def _loc_row(oid, volume, seq=1, path=None):
+    return {"object_id": oid, "path": path or f"/f{oid}", "filespace": "fs",
+            "volume": volume, "seq": seq, "nbytes": 1}
+
+
+def test_sharded_bulk_load_rejects_an_id_repeated_across_shards():
+    """One load holding an object on two shards' volumes is refused whole:
+    each shard's table sees only one copy, so only the index can tell."""
+    from repro.tapedb import ShardedTapeIndex, VolumeRangeRouter
+
+    db = ShardedTapeIndex(Environment(), router=VolumeRangeRouter(["V5"]))
+    with pytest.raises(ValueError):
+        db.bulk_load([_loc_row(1, "V1"), _loc_row(1, "V9")])
+    assert len(db) == 0
+    assert db.shard_sizes() == [0, 0]
+    assert list(db.iter_recall_order()) == []
+    assert db.location_of(1) is None
+
+
+def test_sharded_bulk_load_is_all_or_nothing():
+    """A load that fails on a later shard leaves no earlier shard loaded,
+    and a corrected retry stamps the same rows a fresh index would."""
+    from repro.tapedb import ShardedTapeIndex, VolumeRangeRouter
+
+    def fresh():
+        return ShardedTapeIndex(
+            Environment(), router=VolumeRangeRouter(["V5"])
+        )
+
+    db = fresh()
+    db.bulk_load([_loc_row(9, "V2")])
+    good = [_loc_row(1, "V1"), _loc_row(2, "V7"), _loc_row(3, "V8")]
+    # object 2 twice, both copies on shard 1; then an id already indexed
+    for bad in (good + [_loc_row(2, "V8", seq=2)], good + [_loc_row(9, "V1")]):
+        with pytest.raises(ValueError):
+            db.bulk_load(bad)
+        assert len(db) == 1
+        assert db.shard_sizes() == [1, 0]
+        assert [loc.object_id for loc in db.iter_recall_order()] == [9]
+    assert db.bulk_load(good) == 3
+    want = fresh()
+    want.bulk_load([_loc_row(9, "V2")] + good)
+    assert [t._rows for t in db._tables] == [t._rows for t in want._tables]
+    assert db.remove(1) and db.location_of(1) is None

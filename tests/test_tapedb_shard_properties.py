@@ -17,9 +17,15 @@ over hypothesis-generated populations rather than hand-picked examples:
   ``shards * batch`` live entries, no matter the population.
 """
 
+import heapq
+from itertools import chain
+from operator import itemgetter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.tapedb.shard as shard_module
 from repro.sim import Environment
 from repro.tapedb import (
     BufferGauge,
@@ -29,6 +35,7 @@ from repro.tapedb import (
     TokenRangeRouter,
     VolumeRangeRouter,
 )
+from repro.tapedb.stream import merge_runs
 
 # (volume idx, seq, path idx) — small domains on purpose: collisions in
 # (volume, seq) index keys and repeated paths are the interesting cases.
@@ -143,6 +150,82 @@ def test_streaming_merge_is_bounded(rows, n_shards, batch):
     assert gauge.peak <= n_shards * batch
     assert gauge.live == 0  # every batch fully released
     assert gauge.total == len(out) if n_shards == 1 else gauge.total >= len(out)
+
+
+# -- the run merge ---------------------------------------------------------
+
+# one input: sorted keys (small domain, so inputs share keys) and the
+# ragged batch sizes that cut it; an input may be empty
+MERGE_INPUT = st.tuples(
+    st.lists(st.integers(0, 6), max_size=25).map(sorted),
+    st.lists(st.integers(1, 5), min_size=1, max_size=25),
+)
+
+
+def _cut(items, sizes):
+    """*items* as batches of the given sizes (the last size repeats)."""
+    out, pos = [], 0
+    for size in chain(sizes, [sizes[-1]] * len(items)):
+        if pos >= len(items):
+            break
+        out.append(items[pos:pos + size])
+        pos += size
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=st.lists(MERGE_INPUT, max_size=6))
+def test_merge_runs_is_heapq_merge(inputs):
+    # items carry (key, input, position) so the comparison sees stability
+    flat = [
+        [(k, i, j) for j, k in enumerate(keys)]
+        for i, (keys, _) in enumerate(inputs)
+    ]
+    streams = [
+        iter(_cut(items, sizes)) for items, (_, sizes) in zip(flat, inputs)
+    ]
+    key = itemgetter(0)
+    runs = list(merge_runs(streams, key))
+    assert all(runs)
+    assert list(chain.from_iterable(runs)) == list(heapq.merge(*flat, key=key))
+
+
+@pytest.mark.parametrize(
+    "n, shards, batch",
+    [(0, 3, 4), (1, 1, 1), (97, 4, 1), (97, 4, 8), (500, 8, 16),
+     (500, 3, 512)],
+)
+def test_range_routed_recall_order_merges_whole_batches(
+    monkeypatch, n, shards, batch
+):
+    """Shards holding disjoint volume ranges never interleave, so the merge
+    hands out each shard batch in one step: at most ceil(n/b) + s steps,
+    not one step per row."""
+    steps = []
+
+    def counted(streams, key):
+        for run in merge_runs(streams, key):
+            steps.append(len(run))
+            yield run
+
+    monkeypatch.setattr(shard_module, "merge_runs", counted)
+    vols = 10
+    db = ShardedTapeIndex(
+        Environment(), router=VolumeRangeRouter.for_numbered(vols, shards),
+        cache_entries=0,
+    )
+    db.bulk_load(
+        {"object_id": i + 1, "path": f"/f{i}", "filespace": "fs",
+         "volume": f"VOL{(i * 7) % vols:06d}", "seq": i % 13, "nbytes": 1}
+        for i in range(n)
+    )
+    gauge = BufferGauge()
+    got = list(db.iter_recall_order(batch=batch, gauge=gauge))
+    keys = [(loc.volume, loc.seq) for loc in got]
+    assert keys == sorted(keys)
+    assert sum(steps) == len(got) == n
+    assert len(steps) <= -(-n // batch) + shards
+    assert gauge.peak <= shards * batch
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,13 @@ bounded command queue.  Concurrent operations share bandwidth max-min
 fairly — implemented by delegating to a private two-node
 :class:`~repro.netsim.fabric.Fabric`.
 
+An operation is a chain of kernel callbacks, not a process: a start step
+queued at ``URGENT`` requests a queue slot, the slot's grant starts the
+seek timer, the seek's end starts the transfer, and the transfer's end
+releases the slot and fires the operation's ``done`` event.  Each step
+runs in the ``(time, priority)`` slot the equivalent process would have
+resumed in.  Callers only ever hold ``done``.
+
 This is sufficient fidelity for the paper: disk only matters as (a) a rate
 term that is usually *not* the bottleneck (FC4 HBAs and the Ethernet trunk
 are), and (b) a capacity pool for ILM placement decisions.
@@ -15,10 +22,12 @@ are), and (b) a capacity pool for ILM placement decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Optional
 
 from repro.netsim.fabric import Fabric
 from repro.sim import Environment, Event, Resource, SimulationError
+from repro.sim.kernel import URGENT
+from repro.sim.resources import Request
 
 __all__ = ["DiskArray", "DiskOpResult"]
 
@@ -126,19 +135,35 @@ class DiskArray:
     def _io(self, op: str, nbytes: float, tag: Any) -> Event:
         if nbytes < 0:
             raise SimulationError(f"{op}: negative size")
-        done = self.env.event()
-        submitted = self.env.now
+        env = self.env
+        done = env.event()
+        submitted = env.now
+        slot: Optional[Request] = None
+        start = submitted
 
-        def _proc() -> Iterable[Event]:
-            with self._slots.request() as slot:
-                yield slot
-                start = self.env.now
-                if self.seek_time > 0:
-                    yield self.env.timeout(self.seek_time)
-                if nbytes > 0:
-                    src, dst = ("media", "host") if op == "read" else ("host", "media")
-                    yield self._fab.transfer(src, dst, nbytes)
-                end = self.env.now
+        def _request() -> None:
+            nonlocal slot
+            slot = self._slots.request()
+            slot.callbacks.append(_seek)
+
+        def _seek(_granted: Event) -> None:
+            nonlocal start
+            start = env.now
+            if self.seek_time > 0:
+                env.call_later(self.seek_time, _transfer)
+            else:
+                _transfer()
+
+        def _transfer() -> None:
+            if nbytes > 0:
+                src, dst = ("media", "host") if op == "read" else ("host", "media")
+                self._fab.transfer(src, dst, nbytes).callbacks.append(_finish)
+            else:
+                _finish(None)
+
+        def _finish(_moved: Optional[Event]) -> None:
+            end = env.now
+            self._slots.release(slot)
             if op == "read":
                 self.reads += 1
                 self.bytes_read += nbytes
@@ -149,7 +174,7 @@ class DiskArray:
                 DiskOpResult(op, int(nbytes), start, end, start - submitted, tag)
             )
 
-        self.env.process(_proc(), name=f"{self.name}-{op}")
+        env.call_later(0, _request, priority=URGENT)
         return done
 
     def __repr__(self) -> str:

@@ -1,14 +1,23 @@
 """Capacitated link graph with fluid flows and dynamic fair sharing.
 
 A :class:`Fabric` owns nodes and directed :class:`Link` s.  Data movement is
-expressed as :meth:`Fabric.transfer` (a DES process event) or as a long-lived
-:class:`Flow` opened/closed explicitly.  Every flow arrival or departure
-marks the touched route dirty on the incremental
+expressed as :meth:`Fabric.transfer`, which returns an event that fires with
+a :class:`TransferResult` when the last byte arrives.  Every flow arrival or
+departure marks the touched route dirty on the incremental
 :class:`~repro.netsim.maxmin.MaxMinAllocator`; rates are settled lazily (at
 most one solve per simulated instant, restricted to the affected allocation
 components) before the engine projects completions or an external caller
 reads them.  In-flight flows have their accrued bytes banked at the rates
-that were in force and their completion re-projected.
+that were in force (one ``dt`` per instant for every flow) and their
+completion re-projected.
+
+The completion engine is a chain of pooled kernel calls
+(:meth:`~repro.sim.Environment.call_later`), not a process: a start step at
+``URGENT`` when the fabric goes from idle to busy, a sleep timer per
+projected completion, and a resume step at ``NORMAL`` for every wake-up, so
+each step runs in the ``(time, priority)`` slot a process resumption would
+have used.  Routes are cached per (src, dst) together with their link names
+and summed latency, so a transfer looks its route up once.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from typing import Any, Iterable, Optional
 
 from repro.netsim.maxmin import MaxMinAllocator
 from repro.sim import Environment, Event
+from repro.sim.kernel import NORMAL, URGENT
 
 __all__ = ["Fabric", "Flow", "Link", "TransferResult"]
 
@@ -27,15 +37,23 @@ __all__ = ["Fabric", "Flow", "Link", "TransferResult"]
 #: guards against float livelock where now + remaining/rate == now
 EPS_BYTES = 1e-6
 
+_INF = float("inf")
+
+#: completion-engine states (see :meth:`Fabric._kick_engine`)
+_IDLE = 0  # no flows, nothing scheduled
+_QUEUED = 1  # a start or resume step is queued (kicks need do nothing)
+_SLEEPING = 2  # waiting for its timer (or, all flows stalled, a kick)
+
 
 class Link:
     """A directed capacitated edge between two fabric nodes.
 
     ``capacity`` is read-only: the fabric's allocator caches it, so a
     runtime change must go through :meth:`Fabric.set_link_capacity`.
+    ``latency`` is read-only too, as cached routes carry its sum.
     """
 
-    __slots__ = ("name", "src", "dst", "_capacity", "latency")
+    __slots__ = ("name", "src", "dst", "_capacity", "_latency")
 
     def __init__(
         self, name: str, src: str, dst: str, capacity: float, latency: float = 0.0
@@ -48,13 +66,17 @@ class Link:
         self.src = src
         self.dst = dst
         self._capacity = float(capacity)
-        #: one-way propagation delay in seconds
-        self.latency = float(latency)
+        self._latency = float(latency)
 
     @property
     def capacity(self) -> float:
         """Bytes per second."""
         return self._capacity
+
+    @property
+    def latency(self) -> float:
+        """One-way propagation delay in seconds."""
+        return self._latency
 
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.src}->{self.dst} {self.capacity/1e6:.0f} MB/s>"
@@ -102,7 +124,6 @@ class Flow:
         "done",
         "_remaining",
         "_rate",
-        "_last_update",
     )
 
     def __init__(
@@ -130,7 +151,6 @@ class Flow:
         self.done = done
         self._remaining = float(nbytes)
         self._rate = 0.0
-        self._last_update = start
 
     @property
     def remaining(self) -> float:
@@ -163,7 +183,9 @@ class Fabric:
     -----
     * Routing is static shortest-path (hop count, then total latency, then
       lexicographic link names for determinism), computed on demand and
-      cached.  Explicit routes can be registered with :meth:`set_route`.
+      cached until the topology changes.  Explicit routes pinned with
+      :meth:`set_route` are kept apart and survive later :meth:`add_link`
+      calls.
     * Rate re-allocation is incremental: a flow event dirties only its own
       route and the next settle re-solves only the affected allocation
       components (O(component) rather than O(all flows x all links)), with
@@ -176,15 +198,25 @@ class Fabric:
         self.nodes: set[str] = set()
         self.links: dict[str, Link] = {}
         self._adj: dict[str, list[Link]] = {}
+        #: routes pinned by :meth:`set_route`
+        self._pinned: dict[tuple[str, str], list[Link]] = {}
+        #: computed shortest paths, dropped on every topology change
         self._route_cache: dict[tuple[str, str], list[Link]] = {}
+        #: (src, dst) -> (links, link names, summed latency) for transfers,
+        #: dropped with the route cache and on every pin
+        self._route_info: dict[
+            tuple[str, str], tuple[list[Link], tuple[str, ...], float]
+        ] = {}
         self._flows: dict[int, Flow] = {}
         self._fid = itertools.count(1)
         #: cumulative bytes delivered, for utilisation accounting
         self.bytes_delivered = 0.0
         self._alloc = MaxMinAllocator()
-        self._completion_proc_running = False
-        self._wakeup: Optional[Event] = None
-        #: last simulated instant progress was banked (same-instant skip)
+        self._engine_state = _IDLE
+        #: bumped on every wake-up; a timer armed under an older value is stale
+        self._engine_gen = 0
+        #: last simulated instant progress was banked (same-instant skip);
+        #: every live flow has been banked up to here
         self._last_bank = float("-inf")
         #: flows whose ``remaining`` hit zero since the last retire, in
         #: ``_flows`` order
@@ -230,6 +262,7 @@ class Fabric:
             self._adj[dst].append(rev)
             self._alloc.set_capacity(rname, capacity)
         self._route_cache.clear()
+        self._route_info.clear()
         return fwd, rev
 
     def set_link_capacity(self, name: str, capacity: float) -> None:
@@ -251,7 +284,7 @@ class Fabric:
         self._reallocate()
 
     def set_route(self, src: str, dst: str, links: Iterable[Link]) -> None:
-        """Pin an explicit route for (src, dst)."""
+        """Pin an explicit route for (src, dst); later links do not move it."""
         route = list(links)
         if len(set(route)) != len(route):
             raise ValueError("route crosses a link twice")
@@ -261,14 +294,17 @@ class Fabric:
         if route:
             if route[0].src != src or route[-1].dst != dst:
                 raise ValueError("route endpoints do not match src/dst")
-        self._route_cache[(src, dst)] = route
+        self._pinned[(src, dst)] = route
+        self._route_info.pop((src, dst), None)
 
     def route(self, src: str, dst: str) -> list[Link]:
-        """Shortest path from *src* to *dst* (empty list if src == dst)."""
+        """Pinned or shortest path from *src* to *dst* (empty if src == dst)."""
         if src == dst:
             return []
         key = (src, dst)
-        cached = self._route_cache.get(key)
+        cached = self._pinned.get(key)
+        if cached is None:
+            cached = self._route_cache.get(key)
         if cached is not None:
             return cached
         if src not in self.nodes or dst not in self.nodes:
@@ -303,6 +339,15 @@ class Fabric:
         self._route_cache[key] = path
         return path
 
+    def _route_entry(
+        self, src: str, dst: str
+    ) -> tuple[list[Link], tuple[str, ...], float]:
+        """Cache and return (links, link names, summed latency) for a pair."""
+        links = self.route(src, dst)
+        entry = (links, tuple(lk.name for lk in links), sum(lk.latency for lk in links))
+        self._route_info[(src, dst)] = entry
+        return entry
+
     # ------------------------------------------------------------------
     # flows
     # ------------------------------------------------------------------
@@ -325,7 +370,7 @@ class Fabric:
         src: str,
         dst: str,
         nbytes: float,
-        rate_cap: float = float("inf"),
+        rate_cap: float = _INF,
         weight: float = 1.0,
         tag: Any = None,
     ) -> Event:
@@ -336,27 +381,30 @@ class Fabric:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        done = self.env.event()
-        tr = self.env.trace
+        env = self.env
+        done = env.event()
+        tr = env.trace
         if tr.enabled:
             span = tr.begin(
                 "net:transfer", tid=f"{src}->{dst}", cat="net",
                 args={"nbytes": int(nbytes)},
             )
             done.callbacks.append(lambda _ev: span.end())
-        links = self.route(src, dst)
-        latency = sum(lk.latency for lk in links)
-        start = self.env.now
+        entry = self._route_info.get((src, dst))
+        if entry is None:
+            entry = self._route_entry(src, dst)
+        links, names, latency = entry
+        start = env.now
 
-        if nbytes == 0 or (not links and rate_cap == float("inf")):
+        if nbytes == 0 or (not links and rate_cap == _INF):
             # Instantaneous (modulo latency) completion.
             def _finish_quick() -> None:
                 done.succeed(
-                    TransferResult(src, dst, int(nbytes), start, self.env.now, tag)
+                    TransferResult(src, dst, int(nbytes), start, env.now, tag)
                 )
                 self.bytes_delivered += nbytes
 
-            self.env.call_later(latency, _finish_quick)
+            env.call_later(latency, _finish_quick)
             return done
 
         flow = Flow(
@@ -373,21 +421,18 @@ class Fabric:
         )
 
         def _register() -> None:
-            now = self.env.now
-            flow.start = now
-            flow._last_update = now
-            self._flows[flow.fid] = flow
+            flow.start = env.now
             rate = self._alloc.add_flow(
-                flow.fid,
-                [lk.name for lk in links],
-                weight=flow.weight,
-                rate_cap=flow.rate_cap,
+                flow.fid, names, weight=flow.weight, rate_cap=flow.rate_cap
             )
             if rate is not None:
                 # Short-circuit: this flow shares no link, its rate is
                 # settled and nobody else's allocation moved.
                 flow._rate = rate
-            self._bank_progress()
+            # Bank the flows already in flight before this one joins them,
+            # so one dt covers every flow the sweep touches.
+            self._bank_progress(flow)
+            self._flows[flow.fid] = flow
             # A flow born (nearly) empty retires after the flows banking
             # just finished, as it is last in ``_flows``; banking has
             # already listed it if its rate is infinite.
@@ -397,39 +442,41 @@ class Fabric:
             self._retire_finished()
             self._kick_engine()
 
-        # Completion is driven by the engine process; registration needs no
-        # process of its own — one recycled timer replaces the per-transfer
-        # Process + init event + Timeout triple.
-        self.env.call_later(latency, _register)
+        # Registration is one recycled timer: no process, init event or
+        # Timeout per transfer.
+        env.call_later(latency, _register)
         return done
 
     # ------------------------------------------------------------------
     # engine
     # ------------------------------------------------------------------
-    def _bank_progress(self) -> None:
-        """Accrue bytes sent at current rates since the last update.
+    def _bank_progress(self, joining: Optional[Flow] = None) -> None:
+        """Accrue bytes sent at current rates since the last bank point.
 
-        Same-instant calls after the first are skipped entirely: banking
-        over dt == 0 moves no bytes (infinite-rate flows, the one dt == 0
-        exception, are drained by the engine's zero-dt branch at the same
-        instant), so a burst of flow events at one timestamp pays a single
-        O(flows) sweep.
+        Every live flow was banked at ``_last_bank``, so one ``dt`` serves
+        them all.  Same-instant calls after the first are skipped
+        entirely: banking over dt == 0 moves no bytes (infinite-rate
+        flows, the one dt == 0 exception, are drained by the engine's
+        sub-resolution branch at the same instant), so a burst of flow
+        events at one timestamp pays a single O(flows) sweep.  A
+        *joining* flow, not yet in ``_flows``, is swept last with
+        dt == 0: it is drained here only if its rate is infinite.
         """
         now = self.env.now
-        if now == self._last_bank:
+        last = self._last_bank
+        if now == last:
             return
         self._last_bank = now
-        inf = float("inf")
+        dt = now - last
         delivered = 0.0
         finished = self._finished
         for flow in self._flows.values():
             rate = flow._rate
-            dt = now - flow._last_update
-            if rate == inf:
+            if rate == _INF:
                 delivered += flow._remaining
                 flow._remaining = 0.0
                 finished.append(flow)
-            elif dt > 0 and rate > 0:
+            elif rate > 0:
                 rem = flow._remaining
                 moved = rate * dt
                 if moved > rem:
@@ -441,7 +488,10 @@ class Fabric:
                     rem = 0.0
                     finished.append(flow)
                 flow._remaining = rem
-            flow._last_update = now
+        if joining is not None and joining._rate == _INF:
+            delivered += joining._remaining
+            joining._remaining = 0.0
+            finished.append(joining)
         self.bytes_delivered += delivered
 
     def _reallocate(self) -> None:
@@ -476,15 +526,34 @@ class Fabric:
             flows[fid]._rate = rate
 
     def _kick_engine(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed(None)
-        elif not self._completion_proc_running and self._flows:
-            self._completion_proc_running = True
-            self.env.process(self._engine(), name=f"{self.name}-engine")
+        """Tell the engine the flow set changed.
+
+        An idle fabric that gained flows queues its start step at
+        ``URGENT``; a sleeping engine is woken at once.  A start or
+        resume step already queued sees the change when it runs.
+        """
+        state = self._engine_state
+        if state == _SLEEPING:
+            self._wake_engine()
+        elif state == _IDLE and self._flows:
+            self._engine_state = _QUEUED
+            self.env.call_later(0, self._engine_run, priority=URGENT)
+
+    def _wake_engine(self) -> None:
+        """Queue the resume step at ``NORMAL``, behind everything already
+        queued at this instant, and make the pending timer stale."""
+        self._engine_state = _QUEUED
+        self._engine_gen += 1
+        self.env.call_later(0, self._engine_resume, priority=NORMAL)
+
+    def _engine_resume(self) -> None:
+        self._bank_progress()
+        self._retire_finished()
+        self._engine_run()
 
     def _next_completion(self) -> float:
         self._flush_rates()
-        t = float("inf")
+        t = _INF
         for f in self._flows.values():
             if f._rate > 0:
                 dt = f._remaining / f._rate
@@ -502,40 +571,37 @@ class Fabric:
                 self._finished.append(f)
         self._retire_finished()
 
-    def _engine(self) -> Iterable[Event]:
-        """Sleeps until the earliest projected completion, retires flows,
-        reallocates, repeats.  Woken early by :meth:`_reallocate` when the
-        flow set changes."""
-        try:
-            while self._flows:
-                dt = self._next_completion()
-                if dt == float("inf"):
-                    # All flows stalled (shouldn't happen); wait for a change.
-                    self._wakeup = self.env.event()
-                    yield self._wakeup
-                    self._wakeup = None
-                    continue
-                if self.env.now + dt == self.env.now:
-                    # dt is below the clock's float resolution: the nearly
-                    # finished flows can never drain by timing out — finish
-                    # them directly to avoid a zero-delay livelock.
-                    self._drain_subresolution(dt)
-                    continue
-                # Sleep until the projected completion OR an early kick from
-                # _reallocate.  A recycled kernel timer pokes the wakeup
-                # event instead of a Timeout | Event AnyOf condition (three
-                # allocations per engine cycle); a stale timer finds its
-                # event already triggered and does nothing.
-                self._wakeup = wake = self.env.event()
-                self.env.call_later(
-                    dt, lambda wake=wake: None if wake.triggered else wake.succeed(None)
-                )
-                yield wake
-                self._wakeup = None
-                self._bank_progress()
-                self._retire_finished()
-        finally:
-            self._completion_proc_running = False
+    def _engine_run(self) -> None:
+        """Project the earliest completion and sleep until it, or go idle.
+
+        A live timer does not resume the engine itself: it queues the
+        resume step like a kick does, so the step runs after everything
+        already queued at that instant.
+        """
+        env = self.env
+        while self._flows:
+            dt = self._next_completion()
+            if dt == _INF:
+                # All flows stalled (shouldn't happen); wait for a kick.
+                self._engine_state = _SLEEPING
+                return
+            now = env.now
+            if now + dt == now:
+                # dt is below the clock's float resolution: the nearly
+                # finished flows can never drain by timing out — finish
+                # them directly to avoid a zero-delay livelock.
+                self._drain_subresolution(dt)
+                continue
+            self._engine_state = _SLEEPING
+            gen = self._engine_gen
+
+            def _timer() -> None:
+                if gen == self._engine_gen:
+                    self._wake_engine()
+
+            env.call_later(dt, _timer)
+            return
+        self._engine_state = _IDLE
 
     def __repr__(self) -> str:
         return (

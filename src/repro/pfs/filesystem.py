@@ -66,7 +66,9 @@ class GpfsFileSystem:
         #: ArchiveFUSE (cf. the PLFS reference [23]).  Writers of one
         #: inode serialize on a lock held for nbytes/shared_write_bw.
         self.shared_write_bw = shared_write_bw
-        self._write_locks: dict[int, Resource] = {}
+        #: ino -> [lock, critical sections that hold, await or are about
+        #: to request it]; the entry goes when the last of them ends
+        self._write_locks: dict[int, list] = {}
         self.namespace = Namespace(
             now=env.now, next_ino=partial(env.next_id, "ino")
         )
@@ -463,15 +465,22 @@ class GpfsFileSystem:
                 # run the serialized shared-file critical section and the
                 # data movement concurrently: a lone writer is unaffected,
                 # N-to-1 writers aggregate-cap at shared_write_bw.
-                lock = self._write_locks.get(inode.ino)
-                if lock is None:
-                    lock = Resource(self.env, capacity=1)
-                    self._write_locks[inode.ino] = lock
+                ino = inode.ino
+                entry = self._write_locks.get(ino)
+                if entry is None:
+                    entry = self._write_locks[ino] = [Resource(self.env, capacity=1), 0]
+                entry[1] += 1
+                lock = entry[0]
 
                 def _critical():
-                    with lock.request() as rq:
-                        yield rq
-                        yield self.env.timeout(nbytes / self.shared_write_bw)
+                    try:
+                        with lock.request() as rq:
+                            yield rq
+                            yield self.env.timeout(nbytes / self.shared_write_bw)
+                    finally:
+                        entry[1] -= 1
+                        if not entry[1]:
+                            del self._write_locks[ino]
 
                 crit = self.env.process(_critical(), name=f"wlock {path}")
                 move = self.env.process(

@@ -50,8 +50,8 @@ heap keys.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from repro.trace import channel_for as _trace_channel_for
@@ -682,7 +682,7 @@ class Environment:
         self._seq += 1
         key = self._seq if self._policy is None else self._policy.key(self._seq)
         q = self._queue
-        heapq.heappush(q, (self._now + delay, priority, key, event))
+        heappush(q, (self._now + delay, priority, key, event))
         if len(q) > self.peak_queue_len:
             self.peak_queue_len = len(q)
 
@@ -698,7 +698,7 @@ class Environment:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("no scheduled events")
-        t, _prio, _key, event = heapq.heappop(self._queue)
+        t, _prio, _key, event = heappop(self._queue)
         self._now = t
         self.events_processed += 1
         if self.hb is not None:
@@ -745,9 +745,13 @@ class Environment:
         # still popped, HB-recorded and crash-checked individually (same
         # per-event semantics as step()); only the loop bookkeeping — the
         # clock write, the stop_at comparison, the instant accounting — is
-        # hoisted to once per distinct timestamp.
+        # hoisted to once per distinct timestamp.  The hb recorder is read
+        # once per call: attach it before run(), not from inside an event.
         q = self._queue
         pool = self._call_pool
+        hb = self.hb
+        pop = heappop
+        scheduled_call = _ScheduledCall
         while q:
             if stop_ev is not None and stop_ev._processed:
                 break
@@ -758,12 +762,12 @@ class Environment:
             self.instants += 1
             batch = 0
             while True:
-                _t, _prio, _key, event = heapq.heappop(q)
+                _t, _prio, _key, event = pop(q)
                 self.events_processed += 1
                 batch += 1
-                if self.hb is not None:
-                    self.hb.on_pop(_t, _prio, event)
-                if type(event) is _ScheduledCall:
+                if hb is not None:
+                    hb.on_pop(_t, _prio, event)
+                if type(event) is scheduled_call:
                     fn = event._fn
                     event._fn = None
                     if len(pool) < _CALL_POOL_MAX:

@@ -236,6 +236,23 @@ def test_build_archive_site_shape():
     assert fab.route("fta3", "ds2")
 
 
+def test_pinned_route_survives_later_links():
+    """``set_route`` pins outlive topology changes: the archive site's
+    FTA -> TSM metadata path stays on the LAN after another link is
+    added, and transfers follow the pin, not the shortest path."""
+    env = Environment()
+    fab = build_archive_site(env).fabric
+    pinned = ["nic-fta0:rev", "nic-tsm"]
+    assert [lk.name for lk in fab.route("fta0", "tsm-server")] == pinned
+    res = env.run(fab.transfer("fta0", "tsm-server", 1.0))
+    fab.add_link("spare0", "spare1", capacity=1e9)
+    assert [lk.name for lk in fab.route("fta0", "tsm-server")] == pinned
+    late = env.run(fab.transfer("fta0", "tsm-server", 1.0))
+    assert late.duration == res.duration
+    # computed routes are still recomputed after the change
+    assert fab.route("spare0", "spare1")[0].name == "spare0->spare1"
+
+
 def test_archive_site_trunk_is_waist():
     """All FTAs pulling from scratch together are limited by the trunk."""
     env = Environment()

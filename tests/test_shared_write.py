@@ -82,3 +82,32 @@ def test_shared_write_model_can_be_disabled():
     fs = make_fs(env, shared_bw=0.0)
     t = _parallel_range_writes(env, fs, "/f", 8 * GB, 8)
     assert t < 2.0
+
+
+@pytest.mark.parametrize("n_writers", [1, 8])
+def test_write_locks_are_dropped_once_idle(n_writers):
+    # one lock per file in flight, none kept once its writers are done
+    env = Environment()
+    fs = make_fs(env, shared_bw=1e9)
+    _parallel_range_writes(env, fs, "/f", 8 * GB, n_writers)
+    assert fs._write_locks == {}
+
+
+def test_sequential_writes_leave_no_write_lock():
+    env = Environment()
+    fs = make_fs(env, shared_bw=1e9)
+    held = []
+
+    def go():
+        for i in range(4):
+            yield fs.create_sized(f"/f{i}", GB)
+            ev = fs.write_range("c0", f"/f{i}", 0, GB)
+            yield env.timeout(0.5)
+            held.append(len(fs._write_locks))
+            yield ev
+        yield fs.write_range("c0", "/f0", 0, GB // 2)
+
+    env.process(go())
+    env.run()
+    assert held == [1, 1, 1, 1]
+    assert fs._write_locks == {}
